@@ -121,42 +121,6 @@ fn engine_submit_drain_shutdown_is_schedule_independent() {
     }
 }
 
-/// The plan-sharded parallel decode path: one block, frontier wide
-/// enough (`B = 64` ≥ `MIN_PARALLEL_FRONTIER`) that the engine really
-/// shards the beam across workers and merges under its locks.
-#[test]
-fn engine_plan_sharded_decode_is_schedule_independent() {
-    let p = CodeParams::default().with_n(48).with_b(64);
-    let dec = BubbleDecoder::new(&p);
-    let rx = make_rx(&p, 2, 0x51AB);
-    let serial = {
-        let r = DecodeRequest::new(&dec, &rx).decode();
-        (r.message, r.cost.to_bits())
-    };
-
-    let workers = 2usize;
-    let cfg = CheckConfig {
-        schedules: schedule_budget(150).min(150),
-        seed: 0x51AB,
-        declared_threads: Some(1 + workers),
-    };
-    let (results, stats) = check_random(&cfg, || {
-        let engine = DecodeEngine::new(workers);
-        await_participants(1 + workers);
-        let r = DecodeRequest::new(&dec, &rx).engine(&engine).decode();
-        (r.message, r.cost.to_bits())
-    });
-    stats.assert_clean("plan-sharded decode");
-    assert_eq!(results.len(), stats.schedules);
-    for got in &results {
-        assert_eq!(got, &serial, "sharded decode diverged from serial");
-    }
-    assert!(
-        stats.distinct > 1,
-        "sharded decode never branched: {stats:?}"
-    );
-}
-
 /// Batch decode: several blocks pipelined through the pool at once.
 #[test]
 fn engine_batch_decode_is_schedule_independent() {

@@ -1,11 +1,9 @@
 //! The unified decode entry point: one request builder over every
 //! dispatch combination.
 //!
-//! Historically each way of running the bubble decoder grew its own
-//! method — plain, workspace-reusing, cache-carrying, engine-sharded,
-//! and the BSC twin of each — a ~12-method matrix that callers (and the
-//! `spinal-net` transport receiver in particular) had to memorise.
-//! [`DecodeRequest`] collapses the matrix into one builder:
+//! A decode is a decoder, observations, and two optional resources: a
+//! caller-held [`DecodeWorkspace`] and an incremental [`TableCache`].
+//! [`DecodeRequest`] names them in one builder:
 //!
 //! ```
 //! use spinal_core::{BubbleDecoder, CodeParams, DecodeRequest, DecodeWorkspace, TableCache};
@@ -41,34 +39,26 @@
 //!
 //! # Dispatch semantics
 //!
-//! Every combination resolves to exactly one of the historical code
-//! paths, so results are bit-for-bit identical to the method it
-//! replaces (the recorded decode corpus passes unchanged through this
-//! builder):
+//! Every combination resolves to exactly one decoder code path; each
+//! runs on a fresh workspace unless one is supplied, and all agree bit
+//! for bit (the recorded decode corpus pins them):
 //!
 //! | request | resolves to |
 //! |---------|-------------|
-//! | symbols | workspace decode (fresh or caller-held workspace) |
+//! | symbols | workspace decode |
 //! | symbols + `cache` | incremental [`TableCache`] re-decode |
-//! | symbols + `engine` | engine-sharded decode |
-//! | symbols + `engine` + `cache` | engine-sharded incremental re-decode |
 //! | bits | workspace Hamming decode |
-//! | bits + `engine` | engine-sharded Hamming decode |
 //!
-//! Two settings are absorbed rather than erred on, mirroring the legacy
-//! methods they collapse:
+//! **`cache` is a no-op for bits.** A [`TableCache`] holds per-symbol
+//! branch-metric tables; the Hamming metric has no tables to cache, so
+//! a cache supplied with [`RxObservations::Bits`] is left untouched.
 //!
-//! * **`engine` beats `workspace`.** A [`DecodeEngine`] owns per-worker
-//!   workspaces; a workspace supplied alongside an engine is simply not
-//!   consulted (the single-threaded engine uses its own scratch too).
-//! * **`cache` is a no-op for bits.** A [`TableCache`] holds per-symbol
-//!   branch-metric tables; the Hamming metric has no tables to cache,
-//!   so a cache supplied with [`RxObservations::Bits`] is left
-//!   untouched — exactly what the legacy matrix offered (it had no
-//!   cached BSC entry point).
+//! A request decodes one block on the calling thread. To decode many
+//! blocks across cores, hand them whole to a
+//! [`DecodeEngine`](crate::DecodeEngine) (batch or submit/drain) or a
+//! [`DecodeService`](crate::DecodeService).
 
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
-use crate::engine::DecodeEngine;
 use crate::rx::{RxBits, RxSymbols};
 use crate::tables::TableCache;
 
@@ -116,8 +106,8 @@ impl<'a> From<&'a RxBits> for RxObservations<'a> {
 
 /// One decode, described declaratively: which decoder, which
 /// observations, and which resources (workspace, incremental table
-/// cache, engine) the attempt may use. See the [module docs](self) for
-/// the dispatch table and precedence rules.
+/// cache) the attempt may use. See the [module docs](self) for the
+/// dispatch table.
 #[must_use = "a DecodeRequest does nothing until .decode() is called"]
 #[derive(Debug)]
 pub struct DecodeRequest<'a> {
@@ -125,7 +115,6 @@ pub struct DecodeRequest<'a> {
     rx: RxObservations<'a>,
     workspace: Option<&'a mut DecodeWorkspace>,
     cache: Option<&'a mut TableCache>,
-    engine: Option<&'a DecodeEngine>,
 }
 
 impl<'a> DecodeRequest<'a> {
@@ -136,14 +125,12 @@ impl<'a> DecodeRequest<'a> {
             rx: rx.into(),
             workspace: None,
             cache: None,
-            engine: None,
         }
     }
 
     /// Reuse the caller's buffers: zero decode-path allocation once `ws`
     /// is warm. Without this, the decode allocates (and drops) a fresh
-    /// [`DecodeWorkspace`]. Ignored when an [`DecodeRequest::engine`] is
-    /// set — engines carry per-worker workspaces of their own.
+    /// [`DecodeWorkspace`].
     pub fn workspace(mut self, ws: &'a mut DecodeWorkspace) -> Self {
         self.workspace = Some(ws);
         self
@@ -159,61 +146,27 @@ impl<'a> DecodeRequest<'a> {
         self
     }
 
-    /// Shard the decode's beam across `engine`'s worker pool.
-    /// Bit-for-bit identical to the serial decode at every thread
-    /// count. Takes precedence over [`DecodeRequest::workspace`].
-    pub fn engine(mut self, engine: &'a DecodeEngine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Run the decode. Exactly one of the historical code paths is
-    /// selected (see the module-level dispatch table), so every
-    /// combination is bit-for-bit identical to the legacy method it
-    /// replaces.
+    /// Run the decode through the code path the module-level dispatch
+    /// table names.
     pub fn decode(self) -> DecodeResult {
         let DecodeRequest {
             decoder,
             rx,
             workspace,
             cache,
-            engine,
         } = self;
-        match rx {
-            RxObservations::Symbols(rx) => match engine {
-                Some(engine) => match cache {
-                    Some(cache) => engine.parallel_cached_impl(decoder, rx, cache),
-                    None => engine.parallel_impl(decoder, rx),
-                },
-                None => {
-                    let mut local;
-                    let ws = match workspace {
-                        Some(ws) => ws,
-                        None => {
-                            local = DecodeWorkspace::new();
-                            &mut local
-                        }
-                    };
-                    match cache {
-                        Some(cache) => decoder.decode_cached_impl(rx, cache, ws),
-                        None => decoder.decode_symbols_impl(rx, ws),
-                    }
-                }
-            },
-            RxObservations::Bits(rx) => match engine {
-                Some(engine) => engine.bsc_parallel_impl(decoder, rx),
-                None => {
-                    let mut local;
-                    let ws = match workspace {
-                        Some(ws) => ws,
-                        None => {
-                            local = DecodeWorkspace::new();
-                            &mut local
-                        }
-                    };
-                    decoder.decode_bits_impl(rx, ws)
-                }
-            },
+        let mut local;
+        let ws = match workspace {
+            Some(ws) => ws,
+            None => {
+                local = DecodeWorkspace::new();
+                &mut local
+            }
+        };
+        match (rx, cache) {
+            (RxObservations::Symbols(rx), Some(cache)) => decoder.decode_cached_impl(rx, cache, ws),
+            (RxObservations::Symbols(rx), None) => decoder.decode_symbols_impl(rx, ws),
+            (RxObservations::Bits(rx), _) => decoder.decode_bits_impl(rx, ws),
         }
     }
 }
@@ -253,18 +206,13 @@ mod tests {
 
             let mut ws = DecodeWorkspace::new();
             let mut cache = TableCache::new();
-            let engine = DecodeEngine::new(2);
-            let combos: [DecodeResult; 4] = [
+            let combos: [DecodeResult; 3] = [
                 DecodeRequest::new(&dec, &rx).workspace(&mut ws).decode(),
                 DecodeRequest::new(&dec, &rx)
                     .workspace(&mut ws)
                     .cache(&mut cache)
                     .decode(),
-                DecodeRequest::new(&dec, &rx).engine(&engine).decode(),
-                DecodeRequest::new(&dec, &rx)
-                    .engine(&engine)
-                    .cache(&mut cache)
-                    .decode(),
+                DecodeRequest::new(&dec, &rx).cache(&mut cache).decode(),
             ];
             for (i, out) in combos.iter().enumerate() {
                 assert_eq!(out.message, base.message, "{profile:?} combo {i}");
@@ -295,20 +243,15 @@ mod tests {
         let base = DecodeRequest::new(&dec, &rx).decode();
         assert_eq!(base.message, msg);
 
-        // A cache supplied with bits is left untouched, and the engine
-        // path agrees bit for bit.
+        // A cache supplied with bits is left untouched.
         let mut cache = TableCache::new();
         let mut ws = DecodeWorkspace::new();
-        let engine = DecodeEngine::new(2);
         let cached = DecodeRequest::new(&dec, &rx)
             .workspace(&mut ws)
             .cache(&mut cache)
             .decode();
-        let sharded = DecodeRequest::new(&dec, &rx).engine(&engine).decode();
         assert_eq!(cached.message, base.message);
-        assert_eq!(sharded.message, base.message);
         assert_eq!(cached.cost.to_bits(), base.cost.to_bits());
-        assert_eq!(sharded.cost.to_bits(), base.cost.to_bits());
     }
 
     #[test]

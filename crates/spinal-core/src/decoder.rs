@@ -77,12 +77,11 @@
 //! exact), key selection ties break on the key index, and the final
 //! winner is the minimum under the **total** order
 //! `(cost, tree index, relative path)`, which names a unique leaf
-//! regardless of where it sits in the frontier arrays. This is what lets
-//! [`DecodeEngine`](crate::engine::DecodeEngine) shard a step's frontier
-//! across worker threads and still produce bit-for-bit the serial result
-//! at every thread count — under either profile.
+//! regardless of where it sits in the frontier arrays. This is what
+//! lets the specialised quantized `d = 1` kernel, which lays its
+//! frontier out leaf-major, agree bit for bit with the generic beam,
+//! even when every leaf ties at `+∞`.
 
-use crate::api::DecodeRequest;
 use crate::bits::Message;
 use crate::params::CodeParams;
 use crate::quant::{pair_delta, radix_select_keys, radix_threshold, MetricProfile, QuantTables};
@@ -108,9 +107,7 @@ pub struct DecodeResult {
 /// compare, select, and report. Two instantiations exist — `f64` (the
 /// exact profile) and `u32` (the quantized profile, with `u16` table
 /// entries and saturating accumulation).
-pub(crate) trait CostKind:
-    Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static
-{
+trait CostKind: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static {
     /// Branch-metric table entry type (`f64` exact, `u16` quantized).
     type Entry: Copy + Send + Sync + Default + std::fmt::Debug + 'static;
     /// The root cost.
@@ -203,16 +200,16 @@ impl CostKind for u32 {
     }
 }
 
-/// The frontier of one beam-search attempt (or one engine shard of it):
-/// leaves in structure-of-arrays form, plus the double-buffer halves and
+/// The frontier of one beam-search attempt: leaves in
+/// structure-of-arrays form, plus the double-buffer halves and
 /// hashing scratch one expansion step needs. Generic over the metric
 /// profile's cost type.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Frontier<C: CostKind> {
-    pub(crate) states: Vec<u32>,
-    pub(crate) costs: Vec<C>,
-    pub(crate) trees: Vec<u32>,
-    pub(crate) paths: Vec<u64>,
+struct Frontier<C: CostKind> {
+    states: Vec<u32>,
+    costs: Vec<C>,
+    trees: Vec<u32>,
+    paths: Vec<u64>,
     // Expansion target (swapped with the frontier every step).
     next_states: Vec<u32>,
     next_costs: Vec<C>,
@@ -222,12 +219,11 @@ pub(crate) struct Frontier<C: CostKind> {
     words: Vec<u32>,
 }
 
-/// The branch metric of one decode step, in the table form both the
-/// serial path and the engine workers consume. Tables are built once per
-/// (step, observation) and are read-only during expansion — which is
-/// what makes them safely shareable across decode worker threads.
+/// The branch metric of one decode step, in table form. Tables are
+/// built once per (step, observation) and are read-only during
+/// expansion.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum StepMetric<'a, C: CostKind> {
+enum StepMetric<'a, C: CostKind> {
     /// Complex symbols: per-entry `[I table (m), Q table (m)]`
     /// concatenated in `tables`, with the entry's RNG index in `rngs`.
     Symbols {
@@ -242,13 +238,8 @@ pub(crate) enum StepMetric<'a, C: CostKind> {
 }
 
 impl<C: CostKind> Frontier<C> {
-    /// Number of leaves.
-    pub(crate) fn len(&self) -> usize {
-        self.states.len()
-    }
-
     /// Reset to the single root leaf `s0` (cost 0, tree 0, empty path).
-    pub(crate) fn reset_root(&mut self, s0: u32) {
+    fn reset_root(&mut self, s0: u32) {
         self.clear();
         self.states.push(s0);
         self.costs.push(C::ZERO);
@@ -257,34 +248,17 @@ impl<C: CostKind> Frontier<C> {
     }
 
     /// Drop all leaves (capacity retained).
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.states.clear();
         self.costs.clear();
         self.trees.clear();
         self.paths.clear();
     }
 
-    /// Replace this frontier's leaves with `src[lo..hi]` (engine
-    /// sharding: contiguous slices of a parent frontier).
-    pub(crate) fn load_slice(&mut self, src: &Frontier<C>, lo: usize, hi: usize) {
-        self.clear();
-        self.states.extend_from_slice(&src.states[lo..hi]);
-        self.costs.extend_from_slice(&src.costs[lo..hi]);
-        self.trees.extend_from_slice(&src.trees[lo..hi]);
-        self.paths.extend_from_slice(&src.paths[lo..hi]);
-    }
-
     /// One expansion step: grow every leaf by one level (edge-major,
     /// batched hashing) and add the branch costs of `metric` from its
-    /// pre-built tables. The per-leaf arithmetic is position-independent,
-    /// so expanding a sharded frontier produces exactly the leaves (and
-    /// costs) the unsharded expansion would.
-    pub(crate) fn expand(
-        &mut self,
-        hash: crate::hash::HashKind,
-        k: usize,
-        metric: &StepMetric<'_, C>,
-    ) {
+    /// pre-built tables.
+    fn expand(&mut self, hash: crate::hash::HashKind, k: usize, metric: &StepMetric<'_, C>) {
         let fanout = 1usize << k;
         let f = self.states.len();
         let ef = f << k;
@@ -350,11 +324,10 @@ impl<C: CostKind> Frontier<C> {
     }
 
     /// Fold this frontier's leaves into the per-key minima. `key_min`
-    /// must be sized `n_keys` and initialised to `INF`; partial arrays
-    /// from disjoint shards min-merge into exactly the unsharded result
-    /// (the fold is associative, and no NaN can reach a cost — table
-    /// entries are clamped finite-or-`+∞`).
-    pub(crate) fn accumulate_key_min(&self, k: usize, shift: u32, key_min: &mut [C]) {
+    /// must be sized `n_keys` and initialised to `INF`; the fold is
+    /// order-independent (no NaN can reach a cost — table entries are
+    /// clamped finite-or-`+∞`).
+    fn accumulate_key_min(&self, k: usize, shift: u32, key_min: &mut [C]) {
         let edge_mask = (1usize << k) - 1;
         for ((&tree, &path), &cost) in self.trees.iter().zip(&self.paths).zip(&self.costs) {
             let key = ((tree as usize) << k) | ((path >> shift) as usize & edge_mask);
@@ -366,7 +339,7 @@ impl<C: CostKind> Frontier<C> {
 
     /// Re-root surviving leaves in place: drop the committed eldest edge
     /// and renumber trees, keeping leaves whose key survived selection.
-    pub(crate) fn compact_in_place(&mut self, k: usize, shift: u32, key_to_new: &[u32]) {
+    fn compact_in_place(&mut self, k: usize, shift: u32, key_to_new: &[u32]) {
         let edge_mask = (1usize << k) - 1;
         let strip_mask = strip_mask(shift);
         let mut w = 0usize;
@@ -388,35 +361,10 @@ impl<C: CostKind> Frontier<C> {
         self.paths.truncate(w);
     }
 
-    /// [`Frontier::compact_in_place`], but appending survivors to `dst`
-    /// (the engine gathers shard survivors into one frontier this way).
-    pub(crate) fn compact_append_into(
-        &self,
-        k: usize,
-        shift: u32,
-        key_to_new: &[u32],
-        dst: &mut Frontier<C>,
-    ) {
-        let edge_mask = (1usize << k) - 1;
-        let strip = strip_mask(shift);
-        for r in 0..self.states.len() {
-            let key =
-                ((self.trees[r] as usize) << k) | ((self.paths[r] >> shift) as usize & edge_mask);
-            let new_tree = key_to_new[key];
-            if new_tree != u32::MAX {
-                dst.states.push(self.states[r]);
-                dst.costs.push(self.costs[r]);
-                dst.trees.push(new_tree);
-                dst.paths.push(self.paths[r] & strip);
-            }
-        }
-    }
-
     /// The winning leaf as `(cost, tree, rel_path)` — minimal under the
     /// canonical total order [`leaf_before`], which names a unique leaf
-    /// independent of array order (so shard-wise minima reduce to the
-    /// global one). `None` on an empty frontier.
-    pub(crate) fn best_leaf(&self) -> Option<(C, u32, u64)> {
+    /// independent of array order. `None` on an empty frontier.
+    fn best_leaf(&self) -> Option<(C, u32, u64)> {
         let mut best: Option<(C, u32, u64)> = None;
         for ((&cost, &tree), &path) in self.costs.iter().zip(&self.trees).zip(&self.paths) {
             let cand = (cost, tree, path);
@@ -442,11 +390,11 @@ fn strip_mask(shift: u32) -> u64 {
 
 /// Canonical leaf order: cost (total order), then tree index, then
 /// relative path. Total, so the minimum is unique and independent of
-/// enumeration order — serial and sharded decodes agree even when several
-/// leaves tie on cost (e.g. all-`+∞` degenerate observations, or the
-/// many exact ties integer metrics produce).
+/// enumeration order — the generic beam and the `d = 1` kernel agree
+/// even when several leaves tie on cost (e.g. all-`+∞` degenerate
+/// observations, or the many exact ties integer metrics produce).
 #[inline]
-pub(crate) fn leaf_before<C: CostKind>(a: &(C, u32, u64), b: &(C, u32, u64)) -> bool {
+fn leaf_before<C: CostKind>(a: &(C, u32, u64), b: &(C, u32, u64)) -> bool {
     C::total_cmp(a.0, b.0)
         .then(a.1.cmp(&b.1))
         .then(a.2.cmp(&b.2))
@@ -455,9 +403,9 @@ pub(crate) fn leaf_before<C: CostKind>(a: &(C, u32, u64), b: &(C, u32, u64)) -> 
 
 /// Build the per-entry `[I table, Q table]` branch-metric tables for a
 /// batch of received symbols, appending to `tables` and recording each
-/// entry's RNG index in `rngs`. One shared implementation so the serial
-/// per-step path, the incremental [`TableCache`], and the engine's
-/// per-decode plan produce bitwise identical tables.
+/// entry's RNG index in `rngs`. One shared implementation so the
+/// per-step path and the incremental [`TableCache`] produce bitwise
+/// identical tables.
 pub(crate) fn build_symbol_tables(
     levels: &[f64],
     entries: &[RxEntry],
@@ -485,7 +433,7 @@ pub(crate) fn build_symbol_tables(
 /// re-sorted so tree numbering is canonical (independent of pivots —
 /// and of how the key minima were accumulated). The quantized profile's
 /// integer analogue is [`radix_select_keys`].
-pub(crate) fn select_keys(key_min: &[f64], b: usize, order: &mut Vec<u32>) {
+fn select_keys(key_min: &[f64], b: usize, order: &mut Vec<u32>) {
     let n_keys = key_min.len();
     order.clear();
     order.extend(0..n_keys as u32);
@@ -503,7 +451,7 @@ pub(crate) fn select_keys(key_min: &[f64], b: usize, order: &mut Vec<u32>) {
 
 /// Commit the selected keys: append each kept child to the arena, build
 /// the key → new tree index map, and advance `tree_roots`.
-pub(crate) fn commit_selection(
+fn commit_selection(
     order: &[u32],
     k: usize,
     tree_roots: &mut Vec<u32>,
@@ -528,7 +476,7 @@ pub(crate) fn commit_selection(
 
 /// Rebuild the message from the winning leaf: its relative edges cover
 /// the last `d−1` spine steps, the arena walk from `root` the rest.
-pub(crate) fn reconstruct_message(
+fn reconstruct_message(
     p: &CodeParams,
     d: usize,
     arena: &[(u32, u32)],
@@ -563,7 +511,7 @@ pub(crate) fn reconstruct_message(
 // ---------------------------------------------------------------------
 
 /// Supplies the branch metric of each decode step to [`beam_search`].
-pub(crate) trait MetricSource<C: CostKind> {
+trait MetricSource<C: CostKind> {
     /// The metric of spine step `spine_idx` (tables may be built lazily).
     fn step(&mut self, spine_idx: usize) -> StepMetric<'_, C>;
 }
@@ -621,14 +569,14 @@ impl MetricSource<f64> for CachedSymbols<'_> {
 }
 
 /// A flat prepared table slab with per-spine spans (the quantized
-/// profile's layout, and the engine plan's).
-pub(crate) struct PreparedSymbols<'a, C: CostKind> {
-    pub tables: &'a [C::Entry],
-    pub rngs: &'a [u32],
-    pub spans: &'a [(u32, u32)],
-    pub m: usize,
-    pub i_shift: usize,
-    pub q_shift: usize,
+/// profile's layout).
+struct PreparedSymbols<'a, C: CostKind> {
+    tables: &'a [C::Entry],
+    rngs: &'a [u32],
+    spans: &'a [(u32, u32)],
+    m: usize,
+    i_shift: usize,
+    q_shift: usize,
 }
 
 impl<C: CostKind> MetricSource<C> for PreparedSymbols<'_, C> {
@@ -660,18 +608,18 @@ impl<C: CostKind> MetricSource<C> for BitsSource<'_> {
 }
 
 /// The mutable buffers one beam search borrows from a workspace.
-pub(crate) struct BeamScratch<'a, C: CostKind> {
-    pub fr: &'a mut Frontier<C>,
-    pub key_min: &'a mut Vec<C>,
-    pub order: &'a mut Vec<u32>,
-    pub key_to_new: &'a mut Vec<u32>,
-    pub new_roots: &'a mut Vec<u32>,
-    pub arena: &'a mut Vec<(u32, u32)>,
-    pub tree_roots: &'a mut Vec<u32>,
-    pub sel_scratch: &'a mut Vec<u32>,
+struct BeamScratch<'a, C: CostKind> {
+    fr: &'a mut Frontier<C>,
+    key_min: &'a mut Vec<C>,
+    order: &'a mut Vec<u32>,
+    key_to_new: &'a mut Vec<u32>,
+    new_roots: &'a mut Vec<u32>,
+    arena: &'a mut Vec<(u32, u32)>,
+    tree_roots: &'a mut Vec<u32>,
+    sel_scratch: &'a mut Vec<u32>,
     /// The workspace's heartbeat, ticked once per beam step so the
     /// engine's stuck-attempt watchdog sees progress on long decodes.
-    pub hb: Option<&'a std::sync::atomic::AtomicU64>,
+    hb: Option<&'a std::sync::atomic::AtomicU64>,
 }
 
 /// The serial beam search, shared by every profile and table source.
@@ -743,8 +691,8 @@ fn beam_search<C: CostKind, S: MetricSource<C>>(
 ///
 /// A workspace is parameter- and profile-agnostic — buffers grow to fit
 /// whatever decode uses them — and intentionally cheap to create empty.
-/// Reuse one per worker thread (or per [`BubbleDecoder::decode_batch`]
-/// call) so that the §7.1 attempt loop performs no heap allocation after
+/// Reuse one per worker thread (or per batch of blocks decoded back to
+/// back) so that the §7.1 attempt loop performs no heap allocation after
 /// the first decode warms the buffers up.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeWorkspace {
@@ -802,7 +750,7 @@ impl DecodeWorkspace {
     }
 }
 
-pub(crate) const NO_PARENT: u32 = u32::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
 /// Cache block (in children) for the quantized d=1 kernel's fused
 /// finish+gather phase: two RNG-word buffers of this size live on the
@@ -893,51 +841,21 @@ impl BubbleDecoder {
     }
 
     /// Constellation amplitude levels (for branch-metric table building).
-    pub(crate) fn levels(&self) -> &[f64] {
+    fn levels(&self) -> &[f64] {
         self.gen.constellation().levels()
     }
 
     /// Bits per constellation dimension.
-    pub(crate) fn c_bits(&self) -> usize {
+    fn c_bits(&self) -> usize {
         self.gen.constellation().c() as usize
-    }
-
-    /// Decode from complex observations (AWGN or fading channel).
-    ///
-    /// The branch metric is `Σ_t |y_t − h_t·x_t(s)|²` over the symbols
-    /// received for each spine value (§4.1, extended with CSI when the
-    /// buffer carries it).
-    #[deprecated(
-        note = "decode through spinal_core::DecodeRequest (see README's API migration \
-                         table): DecodeRequest::new(&decoder, rx).decode()"
-    )]
-    pub fn decode(&self, rx: &RxSymbols) -> DecodeResult {
-        DecodeRequest::new(self, rx).decode()
-    }
-
-    /// Decode from hard bits (BSC). The branch metric is Hamming distance.
-    #[deprecated(
-        note = "decode through spinal_core::DecodeRequest (see README's API migration \
-                         table): DecodeRequest::new(&decoder, rx).decode()"
-    )]
-    pub fn decode_bsc(&self, rx: &RxBits) -> DecodeResult {
-        DecodeRequest::new(self, rx).decode()
-    }
-
-    /// Decode complex observations reusing the caller's buffers.
-    /// Identical output; no heap allocation once `ws` is warm.
-    #[deprecated(
-        note = "decode through spinal_core::DecodeRequest (see README's API migration \
-                         table): DecodeRequest::new(&decoder, rx).workspace(&mut ws).decode()"
-    )]
-    pub fn decode_with_workspace(&self, rx: &RxSymbols, ws: &mut DecodeWorkspace) -> DecodeResult {
-        DecodeRequest::new(self, rx).workspace(ws).decode()
     }
 
     /// The symbol-observation decode under this decoder's metric
     /// profile — the computation every symbol form of
     /// [`DecodeRequest`](crate::DecodeRequest) without a cache resolves
-    /// to.
+    /// to. The branch metric is `Σ_t |y_t − h_t·x_t(s)|²` over the
+    /// symbols received for each spine value (§4.1, extended with CSI
+    /// when the buffer carries it).
     pub(crate) fn decode_symbols_impl(
         &self,
         rx: &RxSymbols,
@@ -957,16 +875,6 @@ impl BubbleDecoder {
                 self.decode_quant_prepared(ws)
             }
         }
-    }
-
-    /// Decode hard bits reusing the caller's buffers. Identical output;
-    /// no heap allocation once `ws` is warm.
-    #[deprecated(
-        note = "decode through spinal_core::DecodeRequest (see README's API migration \
-                         table): DecodeRequest::new(&decoder, rx).workspace(&mut ws).decode()"
-    )]
-    pub fn decode_bsc_with_workspace(&self, rx: &RxBits, ws: &mut DecodeWorkspace) -> DecodeResult {
-        DecodeRequest::new(self, rx).workspace(ws).decode()
     }
 
     /// The hard-bit (Hamming metric) decode — the computation every bit
@@ -1009,31 +917,11 @@ impl BubbleDecoder {
         }
     }
 
-    /// Decode through a [`TableCache`]: each call folds in only the
-    /// observations received since the previous call (the §7.1 attempt
-    /// loop) instead of rebuilding every branch-metric table from the
-    /// whole buffer. Bit-identical to the uncached decode under both
-    /// profiles.
-    #[deprecated(
-        note = "decode through spinal_core::DecodeRequest (see README's API migration \
-                         table): DecodeRequest::new(&decoder, rx).workspace(&mut ws)\
-                         .cache(&mut cache).decode()"
-    )]
-    pub fn decode_with_cache(
-        &self,
-        rx: &RxSymbols,
-        cache: &mut TableCache,
-        ws: &mut DecodeWorkspace,
-    ) -> DecodeResult {
-        DecodeRequest::new(self, rx)
-            .workspace(ws)
-            .cache(cache)
-            .decode()
-    }
-
     /// The incremental-table decode — the computation every
     /// symbol-plus-cache form of [`DecodeRequest`](crate::DecodeRequest)
-    /// resolves to.
+    /// resolves to: each call folds in only the observations received
+    /// since the previous call through `cache` (the §7.1 attempt loop),
+    /// bit-identical to the uncached decode under both profiles.
     pub(crate) fn decode_cached_impl(
         &self,
         rx: &RxSymbols,
@@ -1083,21 +971,6 @@ impl BubbleDecoder {
                 self.decode_quant_prepared(ws)
             }
         }
-    }
-
-    /// Decode several receive buffers back to back through one shared
-    /// workspace (e.g. a batch of frames from the same link). For a
-    /// multi-core pipeline over the same shape of batch, see
-    /// [`DecodeEngine::decode_batch_parallel`](crate::engine::DecodeEngine::decode_batch_parallel).
-    #[deprecated(
-        note = "issue one spinal_core::DecodeRequest per block with a shared workspace, \
-                         or use DecodeEngine::decode_batch_parallel for the multi-core shape"
-    )]
-    pub fn decode_batch(&self, rxs: &[RxSymbols]) -> Vec<DecodeResult> {
-        let mut ws = DecodeWorkspace::new();
-        rxs.iter()
-            .map(|rx| self.decode_symbols_impl(rx, &mut ws))
-            .collect()
     }
 
     /// The exact profile's original per-step path.
@@ -1198,10 +1071,9 @@ impl BubbleDecoder {
     ///
     /// Bit-identical to the generic quantized beam at `d = 1` — same
     /// saturating adds in the same order, same radix threshold, same
-    /// ascending-key tie-break, same arena contents — which is what
-    /// keeps the engine's sharded (generic) decode in exact agreement
-    /// with this serial kernel; the corpus and parallel-equivalence
-    /// tests pin that.
+    /// ascending-key tie-break, same arena contents; the
+    /// `quant_d1_kernel_matches_generic_quantized_beam` test pins that
+    /// on every branch below.
     fn decode_quant_d1(&self, ws: &mut DecodeWorkspace) -> DecodeResult {
         let p = &self.params;
         let ns = p.num_spines();
@@ -1435,8 +1307,7 @@ impl BubbleDecoder {
                 // Saturating path (sentinel present, huge receive
                 // buffers, or a punctured spine with no observations
                 // yet): keep the generic per-observation order so
-                // saturation points match the sharded engine decode
-                // exactly.
+                // saturation points match the generic beam exactly.
                 for (chunk, &cost) in qfr.next_costs.chunks_exact_mut(fanout).zip(&qfr.costs) {
                     chunk.fill(cost);
                 }
@@ -1571,6 +1442,7 @@ impl BubbleDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::DecodeRequest;
     use crate::encoder::Encoder;
     use crate::puncturing::Schedule;
     use rand::rngs::StdRng;
@@ -1871,7 +1743,7 @@ mod tests {
             .collect();
         for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
             let dec = BubbleDecoder::new(&p).with_profile(profile);
-            // One shared workspace across the batch, like `decode_batch`.
+            // One shared workspace across the batch.
             let mut ws = DecodeWorkspace::new();
             let batch: Vec<DecodeResult> = rxs
                 .iter()
@@ -1947,7 +1819,7 @@ mod tests {
     fn leaf_order_is_total_and_canonical() {
         // Cost dominates; tree and path break exact-cost ties, so the
         // minimum is unique even when every cost is +∞ (the degenerate-
-        // observation case) — the invariant parallel sharding relies on.
+        // observation case).
         let a = (1.0f64, 5u32, 9u64);
         let b = (2.0f64, 0u32, 0u64);
         assert!(leaf_before(&a, &b) && !leaf_before(&b, &a));
@@ -1962,6 +1834,120 @@ mod tests {
         let qb = (u32::MAX, 0u32, 0u64);
         assert!(leaf_before(&qa, &qb) && !leaf_before(&qb, &qa));
         assert!(leaf_before(&(7u32, 1, 2), &(7u32, 1, 3)));
+    }
+
+    /// The generic quantized beam ([`beam_search`] over the prepared
+    /// `u16` tables, the way [`BubbleDecoder::run_quant`] decodes bits):
+    /// the reference the specialised `d = 1` kernel must reproduce.
+    fn generic_quant_decode(dec: &BubbleDecoder, rx: &RxSymbols) -> DecodeResult {
+        let m = dec.levels().len();
+        let c = dec.c_bits();
+        let mut prep = SymbolTables::default();
+        prep.reset(dec.params_ref().num_spines());
+        prep.sync(dec.levels(), rx);
+        let mut quant = QuantTables::new();
+        quant.rebuild(&prep, m);
+        let mut src = PreparedSymbols::<u32> {
+            tables: &quant.tables,
+            rngs: &quant.rngs,
+            spans: &quant.spans,
+            m,
+            i_shift: 32 - c,
+            q_shift: 16 - c,
+        };
+        dec.run_quant(&mut src, &mut DecodeWorkspace::new(), quant.dequant())
+    }
+
+    #[test]
+    fn quant_d1_kernel_matches_generic_quantized_beam() {
+        // Every branch of `decode_quant_d1` against the generic beam at
+        // d = 1: message and cost bits must agree, including the
+        // all-tie degenerate inputs where only the canonical winner
+        // order decides.
+        let awgn = |p: &CodeParams, symbols: usize, snr: f64, seed: u64| {
+            let mut enc = Encoder::new(p, &rand_msg(p.n, seed));
+            let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
+            let mut rx = RxSymbols::new(schedule);
+            let mut ch = AwgnChannel::new(snr, seed.wrapping_add(1));
+            rx.push(&ch.transmit(&enc.next_symbols(symbols)));
+            rx
+        };
+        let mut cases: Vec<(String, CodeParams, RxSymbols)> = Vec::new();
+
+        // ∞-CSI (B = 8): one broken observation pins every path at the
+        // Q_INF sentinel, so the whole decode takes the saturating path.
+        let p = CodeParams::default().with_n(64).with_b(8);
+        let mut enc = Encoder::new(&p, &rand_msg(64, 0x1234));
+        let tx = enc.next_symbols(2 * p.symbols_per_pass());
+        let hs: Vec<Complex> = (0..tx.len())
+            .map(|i| {
+                if i == 5 {
+                    Complex::new(f64::INFINITY, 0.0)
+                } else {
+                    Complex::ONE
+                }
+            })
+            .collect();
+        let mut rx = RxSymbols::new(Schedule::new(p.num_spines(), p.tail, p.puncturing));
+        rx.push_with_csi(&tx, &hs);
+        cases.push(("inf-CSI".into(), p, rx));
+
+        // All-NaN (B = 4): every table entry clamps to +∞.
+        let p = CodeParams::default().with_n(64).with_b(4);
+        let mut rx = RxSymbols::new(Schedule::new(p.num_spines(), p.tail, p.puncturing));
+        rx.push(&vec![
+            Complex::new(f64::NAN, f64::NAN);
+            2 * p.symbols_per_pass()
+        ]);
+        cases.push(("all-NaN".into(), p, rx));
+
+        for (k, b) in [(4usize, 16usize), (3, 64), (4, 256), (2, 8)] {
+            let p = CodeParams::default().with_n(24 * k).with_k(k).with_b(b);
+            let pass = p.symbols_per_pass();
+            // Two observations per spine: the blocked fused kernel.
+            cases.push((
+                format!("k{k} B{b} blocked"),
+                p.clone(),
+                awgn(&p, 2 * pass, 8.0, 1),
+            ));
+            // Three and five per spine: the unblocked pairwise path,
+            // with and without a trailing single observation.
+            for passes in [3, 4, 5] {
+                cases.push((
+                    format!("k{k} B{b} {passes} passes"),
+                    p.clone(),
+                    awgn(&p, passes * pass, 2.0, 2),
+                ));
+            }
+            // One observation per spine.
+            cases.push((
+                format!("k{k} B{b} one pass"),
+                p.clone(),
+                awgn(&p, pass, 14.0, 3),
+            ));
+            // A partial pass: punctured spines with no observation yet
+            // take the saturating path next to plain-add spines.
+            let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
+            let partial = schedule.subpass_boundaries(pass)[2];
+            cases.push((
+                format!("k{k} B{b} partial pass"),
+                p.clone(),
+                awgn(&p, partial, 25.0, 4),
+            ));
+        }
+
+        for (name, p, rx) in &cases {
+            assert_eq!(p.d, 1, "{name}");
+            let dec = BubbleDecoder::new(p).with_profile(MetricProfile::Quantized);
+            let kernel = DecodeRequest::new(&dec, rx).decode();
+            let generic = generic_quant_decode(&dec, rx);
+            assert_eq!(kernel.message, generic.message, "{name}: message");
+            assert_eq!(
+                kernel.cost.to_bits(),
+                generic.cost.to_bits(),
+                "{name}: cost bits"
+            );
+        }
     }
 
     #[test]
@@ -2111,6 +2097,7 @@ mod tests {
 #[cfg(test)]
 mod profiling {
     use super::*;
+    use crate::api::DecodeRequest;
     use crate::encoder::Encoder;
     use crate::puncturing::Schedule;
     use rand::rngs::StdRng;

@@ -761,7 +761,7 @@ impl DecodeService {
     }
 
     /// Create a service around an existing engine (the engine's batch
-    /// and sharded-decode entry points remain usable alongside).
+    /// and submit/drain entry points remain usable alongside).
     pub fn with_engine(engine: DecodeEngine, cfg: ServiceConfig) -> Self {
         let max_inflight = if cfg.max_inflight == 0 {
             engine.threads()

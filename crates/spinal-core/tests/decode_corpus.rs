@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel, RayleighChannel};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeResult, Encoder, Message, RxBits,
-    RxSymbols, Schedule,
+    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeResult, Encoder, Message,
+    MetricProfile, RxBits, RxSymbols, Schedule,
 };
 
 #[derive(Clone, Copy)]
@@ -172,123 +172,84 @@ const EXPECTED: &[(&str, f64)] = &[
     ("0da5ddd8a01c2e9f", 0.26458027083009833),
 ];
 
-/// The parallel engine must reproduce the serial decoder bit for bit —
-/// decoded message bytes AND cost bits — on every corpus case, at every
-/// tested thread count, through long-lived engines reused across
-/// heterogeneous cases (the deployment shape). Batch decoding of the
-/// symbol cases rides along through the same engines.
-#[test]
-fn parallel_engine_matches_serial_on_corpus_at_every_thread_count() {
-    let engines: Vec<DecodeEngine> = [1usize, 2, 3, 8]
-        .iter()
-        .map(|&t| DecodeEngine::new(t))
-        .collect();
-    let mut symbol_batch: Vec<(CodeParams, RxSymbols, DecodeResult)> = Vec::new();
-    for (i, case) in cases().iter().enumerate() {
-        let (params, rx) = build_case(case);
-        let dec = BubbleDecoder::new(&params);
-        let serial = match &rx {
-            Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).decode(),
-            Rx::Bits(rx) => DecodeRequest::new(&dec, rx).decode(),
-        };
-        for engine in &engines {
-            let parallel = match &rx {
-                Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).engine(engine).decode(),
-                Rx::Bits(rx) => DecodeRequest::new(&dec, rx).engine(engine).decode(),
-            };
-            assert_eq!(
-                parallel.message,
-                serial.message,
-                "case {i} (n={} k={} B={} d={} seed={}) at {} threads: message drifted",
-                case.n,
-                case.k,
-                case.b,
-                case.d,
-                case.seed,
-                engine.threads()
-            );
-            assert_eq!(
-                parallel.cost.to_bits(),
-                serial.cost.to_bits(),
-                "case {i} at {} threads: cost drifted",
-                engine.threads()
-            );
+/// A decoder and the consecutive symbol cases that share its parameter
+/// set, each with its serial decode: the shape the engine's batch path
+/// takes (one decoder per batch).
+type Batch = (BubbleDecoder, Vec<(RxSymbols, DecodeResult)>);
+
+/// The corpus's symbol cases under `profile`, grouped into [`Batch`]es.
+fn symbol_batches(profile: MetricProfile) -> Vec<Batch> {
+    let mut batches: Vec<(CodeParams, Batch)> = Vec::new();
+    for case in cases() {
+        let (params, rx) = build_case(&case);
+        let Rx::Symbols(rx) = rx else { continue };
+        if batches.last().is_none_or(|(p, _)| *p != params) {
+            let dec = BubbleDecoder::new(&params).with_profile(profile);
+            batches.push((params, (dec, Vec::new())));
         }
-        if let Rx::Symbols(rx) = rx {
-            symbol_batch.push((params, rx, serial));
+        let (_, (dec, cases)) = batches.last_mut().expect("batch just pushed");
+        let serial = DecodeRequest::new(dec, &rx).decode();
+        cases.push((rx, serial));
+    }
+    batches.into_iter().map(|(_, batch)| batch).collect()
+}
+
+/// Decode every batch through `engine` twice — `decode_batch_parallel`
+/// and `submit`/`drain` — and require the serial decode bit for bit
+/// (message bytes AND cost bits).
+fn assert_engine_matches_serial(engine: &DecodeEngine, batches: &[Batch], label: &str) {
+    let threads = engine.threads();
+    for (b, (dec, cases)) in batches.iter().enumerate() {
+        let rxs: Vec<RxSymbols> = cases.iter().map(|(rx, _)| rx.clone()).collect();
+        let batch = engine.decode_batch_parallel(dec, &rxs);
+        for rx in &rxs {
+            engine.submit(dec, rx);
+        }
+        let drained = engine.drain();
+        assert_eq!(batch.len(), cases.len());
+        assert_eq!(drained.len(), cases.len());
+        for (i, ((_, serial), (out, sub))) in
+            cases.iter().zip(batch.iter().zip(&drained)).enumerate()
+        {
+            let sub = sub.as_ref().expect("clean submit decodes");
+            for (path, out) in [("batch", out), ("submit/drain", sub)] {
+                assert_eq!(
+                    out.message, serial.message,
+                    "{label} batch {b} case {i} {path} at {threads} threads: message drifted"
+                );
+                assert_eq!(
+                    out.cost.to_bits(),
+                    serial.cost.to_bits(),
+                    "{label} batch {b} case {i} {path} at {threads} threads: cost drifted"
+                );
+            }
         }
     }
-    // Inter-block path: batch all same-parameter symbol cases per shape
-    // through decode_batch_parallel and compare against the serial
-    // results gathered above.
-    for engine in &engines {
-        let mut i = 0;
-        while i < symbol_batch.len() {
-            // Group a run of identical parameter sets.
-            let params = symbol_batch[i].0.clone();
-            let mut j = i;
-            while j < symbol_batch.len() && symbol_batch[j].0 == params {
-                j += 1;
-            }
-            let dec = BubbleDecoder::new(&params);
-            let rxs: Vec<RxSymbols> = symbol_batch[i..j]
-                .iter()
-                .map(|(_, rx, _)| rx.clone())
-                .collect();
-            let outs = engine.decode_batch_parallel(&dec, &rxs);
-            for ((_, _, serial), out) in symbol_batch[i..j].iter().zip(&outs) {
-                assert_eq!(
-                    out.message,
-                    serial.message,
-                    "batch at {} threads",
-                    engine.threads()
-                );
-                assert_eq!(out.cost.to_bits(), serial.cost.to_bits());
-            }
-            i = j;
-        }
+}
+
+/// The parallel engine must reproduce the serial decoder bit for bit on
+/// every symbol case of the corpus, at every tested thread count,
+/// through long-lived engines reused across heterogeneous cases (the
+/// deployment shape).
+#[test]
+fn parallel_engine_matches_serial_on_corpus_at_every_thread_count() {
+    let batches = symbol_batches(MetricProfile::Exact);
+    for threads in [1usize, 2, 3, 8] {
+        assert_engine_matches_serial(&DecodeEngine::new(threads), &batches, "exact");
     }
 }
 
 /// The quantized profile is NOT pinned against the recorded exact
 /// corpus (its equivalence contract is statistical), but it must be
-/// exactly as deterministic: on every corpus case — real AWGN/BSC/
+/// exactly as deterministic: on every symbol case — real AWGN and
 /// fading signals across the (n, k, B, d) grid — the serial quantized
-/// decode must match the engine-sharded quantized decode bit for bit at
-/// every thread count.
+/// decode must match the engine's batch and submit/drain decodes bit
+/// for bit at every thread count.
 #[test]
 fn quantized_profile_is_engine_deterministic_on_corpus() {
-    use spinal_core::MetricProfile;
-    let engines: Vec<DecodeEngine> = [1usize, 2, 8]
-        .iter()
-        .map(|&t| DecodeEngine::new(t))
-        .collect();
-    for (i, case) in cases().iter().enumerate() {
-        let (params, rx) = build_case(case);
-        let dec = BubbleDecoder::new(&params).with_profile(MetricProfile::Quantized);
-        let serial = match &rx {
-            Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).decode(),
-            Rx::Bits(rx) => DecodeRequest::new(&dec, rx).decode(),
-        };
-        assert_eq!(serial.message.len_bits(), params.n, "case {i}");
-        for engine in &engines {
-            let parallel = match &rx {
-                Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).engine(engine).decode(),
-                Rx::Bits(rx) => DecodeRequest::new(&dec, rx).engine(engine).decode(),
-            };
-            assert_eq!(
-                parallel.message,
-                serial.message,
-                "case {i} at {} threads: quantized message drifted",
-                engine.threads()
-            );
-            assert_eq!(
-                parallel.cost.to_bits(),
-                serial.cost.to_bits(),
-                "case {i} at {} threads: quantized cost drifted",
-                engine.threads()
-            );
-        }
+    let batches = symbol_batches(MetricProfile::Quantized);
+    for threads in [1usize, 2, 8] {
+        assert_engine_matches_serial(&DecodeEngine::new(threads), &batches, "quantized");
     }
 }
 

@@ -8,13 +8,6 @@
 //!   comparators must use `total_cmp` (NaN-total ordering); a NaN fed
 //!   to a `partial_cmp(..).unwrap()` sort is a runtime panic in the
 //!   decode hot path.
-//! * **`deprecated-decode-api`** — in-tree calls to the nine
-//!   `#[deprecated]` legacy decode entry points. New code goes through
-//!   `DecodeRequest`; the legacy surface exists only for downstream
-//!   compatibility and its dedicated equivalence tests. (Textual
-//!   scoping: lines that visibly construct another decoder type are
-//!   exempt — `rustc`'s own deprecation warnings cover what the text
-//!   cannot resolve.)
 //! * **`thread-spawn`** — `std::thread` spawning outside the decode
 //!   engine and the compat/check infrastructure. Ad-hoc threads evade
 //!   the engine's worker accounting and the concurrency checker.
@@ -58,32 +51,6 @@ pub const USAGE: &str = "usage: spinal-lint [--root <dir>] [--json]\n\
   --root <dir>  workspace root to scan (default: this workspace)\n\
   --json        machine-readable output";
 
-/// Files (workspace-relative, `/`-separated) where the deprecated
-/// decode surface may be called: the files that define it, and the
-/// equivalence suites that exist to prove the legacy entry points
-/// still match `DecodeRequest`.
-const DEPRECATED_ALLOW: &[&str] = &[
-    "tests/api_equivalence.rs",
-    "tests/decoder_equivalence.rs",
-    "crates/spinal-core/src/decoder.rs",
-    "crates/spinal-core/src/engine.rs",
-];
-
-/// Decoder types with their *own*, non-deprecated `decode`/`decode_bsc`
-/// methods. A legacy-method match on a line that visibly constructs one
-/// of these is a name collision, not a deprecated call (the textual
-/// scanner cannot resolve types; rustc's own deprecation warnings cover
-/// variable-receiver calls).
-const NON_BUBBLE_DECODERS: &[&str] = &[
-    "MlDecoder",
-    "BpDecoder",
-    "StackDecoder",
-    "RaptorDecoder",
-    "BitModeDecoder",
-    "StriderDecoder",
-    "TurboDecoder",
-];
-
 /// Path prefixes allowed to spawn OS threads: the engine's worker
 /// pool, the sim sweep's scoped workers, vendored shims, and the
 /// checker's own fixtures/harnesses.
@@ -118,20 +85,6 @@ const UNWIND_ALLOW: &[&str] = &[
 /// `// SAFETY:` comment). Currently empty — the tree is all safe Rust;
 /// grow this list consciously.
 const UNSAFE_ALLOW: &[&str] = &[];
-
-/// The nine `#[deprecated]` legacy decode methods. `decode` itself is
-/// handled separately: only `.decode(<args>)` is legacy — the blessed
-/// builder terminal `.decode()` takes no arguments.
-const DEPRECATED_METHODS: &[&str] = &[
-    "decode_bsc_with_workspace",
-    "decode_with_workspace",
-    "decode_parallel_cached",
-    "decode_bsc_parallel",
-    "decode_with_cache",
-    "decode_parallel",
-    "decode_batch",
-    "decode_bsc",
-];
 
 /// One lint hit.
 #[derive(Debug, Clone)]
@@ -274,39 +227,6 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
                 line_no,
                 "naked partial_cmp; use total_cmp for floats (NaN-total, no unwrap)".into(),
             );
-        }
-
-        // -- deprecated-decode-api ------------------------------------
-        let other_decoder = NON_BUBBLE_DECODERS.iter().any(|t| line.contains(t));
-        if (!DEPRECATED_ALLOW.contains(&rel) || is_fixture) && !other_decoder {
-            for m in DEPRECATED_METHODS {
-                if line.contains(&format!(".{m}(")) {
-                    push(
-                        "deprecated-decode-api",
-                        line_no,
-                        format!("call to deprecated `{m}`; go through DecodeRequest"),
-                    );
-                }
-            }
-            // Bare `.decode(` is legacy only when it passes arguments
-            // (the DecodeRequest terminal is the argument-less
-            // `.decode()`), and only with same-line evidence that the
-            // receiver is a BubbleDecoder — many other decoder types
-            // have their own `decode(args)`; rustc's deprecation
-            // warnings cover variable-receiver calls the text cannot.
-            let mut from = 0;
-            while let Some(p) = line[from..].find(".decode(") {
-                let after = from + p + ".decode(".len();
-                let next = line[after..].trim_start().chars().next();
-                if next != Some(')') && line.contains("BubbleDecoder") {
-                    push(
-                        "deprecated-decode-api",
-                        line_no,
-                        "call to deprecated `decode(target)`; go through DecodeRequest".into(),
-                    );
-                }
-                from = after;
-            }
         }
 
         // -- thread-spawn ---------------------------------------------
@@ -690,17 +610,6 @@ mod tests {
         let ok =
             "// lint: allow(float-partial-cmp)\nv.sort_by(|a, b| a.partial_cmp(b).unwrap());\n";
         assert!(scan_source("crates/x/src/a.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn decode_terminal_without_args_is_blessed() {
-        let blessed = "let out = DecodeRequest::new(&dec).passes(p).decode();\n";
-        assert!(scan_source("crates/x/src/a.rs", blessed).is_empty());
-        let legacy = "let out = BubbleDecoder::new(&p).decode(&rx);\n";
-        assert_eq!(scan_source("crates/x/src/a.rs", legacy).len(), 1);
-        // Other decoder types own a `decode(args)` too — not legacy.
-        let other = "let out = MlDecoder::new(&p).decode(&rx);\n";
-        assert!(scan_source("crates/x/src/a.rs", other).is_empty());
     }
 
     #[test]

@@ -81,9 +81,11 @@ impl Threads {
     /// Split this budget between trial-level workers and a per-worker
     /// decode-engine budget: `(outer, inner)` with `outer·inner ≤
     /// budget` (and `outer ≤ jobs`). With many jobs the whole budget
-    /// goes to the outer sweep (`inner = 1`, today's behaviour); with
-    /// fewer jobs than cores the leftover cores turn into intra-block
-    /// decode threads, so small grids still fill the machine.
+    /// goes to the outer sweep (`inner = 1`); with fewer jobs than
+    /// cores the leftover cores become each worker's batch
+    /// [`DecodeEngine`](spinal_core::DecodeEngine), which decodes that
+    /// worker's blocks in parallel (whole blocks across threads), so
+    /// small grids still fill the machine.
     pub fn split(self, jobs: usize) -> (usize, Threads) {
         let outer = self.0.min(jobs.max(1));
         (outer, Threads::new(self.0 / outer))

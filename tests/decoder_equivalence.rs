@@ -1,21 +1,16 @@
-//! Property tests for the decoder workspace/table paths: `decode` and
-//! `decode_with_workspace` are the SAME computation (the plain entry
-//! points just allocate a throwaway workspace), so their results must be
-//! bit-identical — messages and costs — for arbitrary parameters across
-//! all three channel families. A second property reuses ONE workspace
-//! across every generated case, catching any state leakage between
-//! attempts.
-//!
-//! The legacy entry points exercised here are deprecated delegates of
-//! [`spinal_codes::DecodeRequest`]; this file deliberately keeps calling
-//! them so the delegate ≡ builder equivalence stays pinned.
-#![allow(deprecated)]
+//! Property tests for the decoder workspace/table paths: a
+//! [`DecodeRequest`] on a fresh workspace and one on a caller-held
+//! workspace are the SAME computation (the plain form just allocates a
+//! throwaway workspace), so their results must be bit-identical —
+//! messages and costs — for arbitrary parameters across all three
+//! channel families. A second property reuses ONE workspace across
+//! every generated case, catching any state leakage between attempts.
 
 use proptest::prelude::*;
 use spinal_codes::channel::BitChannel;
 use spinal_codes::{
-    AwgnChannel, BscChannel, BubbleDecoder, Channel, CodeParams, DecodeWorkspace, Encoder, Message,
-    RayleighChannel, RxBits, RxSymbols, Schedule,
+    AwgnChannel, BscChannel, BubbleDecoder, Channel, CodeParams, DecodeRequest, DecodeWorkspace,
+    Encoder, Message, RayleighChannel, RxBits, RxSymbols, Schedule,
 };
 
 /// One generated decode scenario: parameters + received buffer.
@@ -90,8 +85,14 @@ fn build(sc: &Scenario) -> (CodeParams, Rx) {
 fn decode_both(params: &CodeParams, rx: &Rx, ws: &mut DecodeWorkspace) -> [(Message, u64); 2] {
     let dec = BubbleDecoder::new(params);
     let (plain, reused) = match rx {
-        Rx::Symbols(rx) => (dec.decode(rx), dec.decode_with_workspace(rx, ws)),
-        Rx::Bits(rx) => (dec.decode_bsc(rx), dec.decode_bsc_with_workspace(rx, ws)),
+        Rx::Symbols(rx) => (
+            DecodeRequest::new(&dec, rx).decode(),
+            DecodeRequest::new(&dec, rx).workspace(ws).decode(),
+        ),
+        Rx::Bits(rx) => (
+            DecodeRequest::new(&dec, rx).decode(),
+            DecodeRequest::new(&dec, rx).workspace(ws).decode(),
+        ),
     };
     [
         (plain.message, plain.cost.to_bits()),
@@ -102,8 +103,8 @@ fn decode_both(params: &CodeParams, rx: &Rx, ws: &mut DecodeWorkspace) -> [(Mess
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `decode` ≡ `decode_with_workspace` (message and cost bits) for
-    /// arbitrary (k, d, B, channel, seed).
+    /// Fresh workspace ≡ caller-held workspace (message and cost bits)
+    /// for arbitrary (k, d, B, channel, seed).
     #[test]
     fn workspace_decode_is_identical(sc in arb_scenario()) {
         let (params, rx) = build(&sc);
