@@ -1,6 +1,6 @@
 //! Coarse performance-regression guard over `BENCH_*.json` baselines.
 //!
-//! Three modes, selected by `--mode`:
+//! Six modes, selected by `--mode`:
 //!
 //! * **`median`** (default): compares the median of one benchmark
 //!   between a committed baseline and a freshly recorded run (both in

@@ -37,9 +37,11 @@
 //! [`ScheduleOutcome::diverged`]) but never hangs the checker.
 //!
 //! The checker asserts *outcomes* per schedule — the harnesses in
-//! `tests/` run the engine's submit/drain, batch and shutdown paths
-//! across thousands of schedules and require bit-identical
-//! `(message, cost)` on every one.
+//! `tests/` run the engine's batch and shutdown paths and the decode
+//! service's session paths (worker panic against `wait`; sessions and
+//! service dropped mid-flight) across hundreds to thousands of
+//! schedules, and require bit-identical `(message, cost)` and balanced
+//! service books on every one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,15 @@
 //! Model-check harnesses driving the *real* `DecodeEngine` through
-//! thousands of deterministic schedules.
+//! thousands of deterministic schedules. (The service's session paths,
+//! which own the engine's streaming use, have their own harnesses in
+//! `model_check_service.rs`.)
 //!
 //! Each harness runs an engine workload as a checked body: every
 //! lock/unlock and condvar wait/notify inside the engine (the vendored
 //! `parking_lot` shim, built here with its `check` feature) becomes a
 //! schedule point, and the session's strategy decides every handoff.
-//! The assertions are the ISSUE acceptance criteria: no deadlock, no
-//! lost wakeup, no lock-order inversion on *any* schedule, and
-//! bit-identical `(message, cost)` output versus a serial reference on
-//! *every* schedule.
+//! Every harness asserts no deadlock, no lost wakeup and no lock-order
+//! inversion on *any* schedule, and bit-identical `(message, cost)`
+//! output versus a serial reference on *every* schedule.
 //!
 //! The schedule budget of the flagship test is tunable for CI smoke
 //! runs via `SPINAL_CHECK_SCHEDULES` (the distinct-schedule floor
@@ -56,12 +57,12 @@ fn schedule_budget(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The acceptance test: submit/drain plus shutdown (engine drop joins
+/// The acceptance test: batch decode plus shutdown (engine drop joins
 /// its workers at the end of every schedule) at worker counts 2 and 3,
 /// ≥1000 distinct schedules each, zero violations, and every schedule's
-/// drained output bit-identical to the serial decode.
+/// batch output bit-identical to the serial decode.
 #[test]
-fn engine_submit_drain_shutdown_is_schedule_independent() {
+fn engine_batch_shutdown_is_schedule_independent() {
     let p = CodeParams::default().with_n(32).with_b(4);
     let dec = BubbleDecoder::new(&p);
     let rxs: Vec<RxSymbols> = (0..3).map(|i| make_rx(&p, 2, 0xD0 + i)).collect();
@@ -80,26 +81,12 @@ fn engine_submit_drain_shutdown_is_schedule_independent() {
             // Main + the engine's worker pool.
             declared_threads: Some(1 + workers),
         };
-        let (results, stats) = check_random(&cfg, || {
-            let engine = DecodeEngine::new(workers);
-            // Worker registration races spawn latency; pin it so every
-            // schedule explores the same participant set.
-            await_participants(1 + workers);
-            for rx in &rxs {
-                engine.submit(&dec, rx);
-            }
-            // After drain, `engine` drops: shutdown broadcast + worker
-            // joins run under the model on every schedule.
-            engine
-                .drain()
-                .into_iter()
-                .map(|r| {
-                    let r = r.expect("clean submit decodes");
-                    (r.message, r.cost.to_bits())
-                })
-                .collect::<Vec<Fingerprint>>()
-        });
-        stats.assert_clean(&format!("engine submit/drain, {workers} workers"));
+        let (results, stats) = check_random(&cfg, || batch_fingerprints(workers, &dec, &rxs));
+        stats.assert_clean(&format!("engine batch, {workers} workers"));
+        eprintln!(
+            "engine batch, {workers} workers: {}/{} distinct schedules",
+            stats.distinct, stats.schedules
+        );
         assert_eq!(
             results.len(),
             stats.schedules,
@@ -121,201 +108,19 @@ fn engine_submit_drain_shutdown_is_schedule_independent() {
     }
 }
 
-/// Batch decode: several blocks pipelined through the pool at once.
-#[test]
-fn engine_batch_decode_is_schedule_independent() {
-    let p = CodeParams::default().with_n(32).with_b(4);
-    let dec = BubbleDecoder::new(&p);
-    let rxs: Vec<RxSymbols> = (0..4).map(|i| make_rx(&p, 2, 0xBA + i)).collect();
-    let serial = fingerprint_serial(&dec, &rxs);
-
-    let workers = 2usize;
-    let cfg = CheckConfig {
-        schedules: schedule_budget(200).min(200),
-        seed: 0xBA7C,
-        declared_threads: Some(1 + workers),
-    };
-    let (results, stats) = check_random(&cfg, || {
-        let engine = DecodeEngine::new(workers);
-        await_participants(1 + workers);
-        engine
-            .decode_batch_parallel(&dec, &rxs)
-            .into_iter()
-            .map(|r| (r.message, r.cost.to_bits()))
-            .collect::<Vec<Fingerprint>>()
-    });
-    stats.assert_clean("batch decode");
-    assert_eq!(results.len(), stats.schedules);
-    for got in &results {
-        assert_eq!(got, &serial, "batch decode diverged from serial");
-    }
-}
-
-/// Shutdown robustness: submit work and drop the engine *without*
-/// draining. No schedule may deadlock or leak a stuck worker — drop
-/// must always shut the pool down cleanly with a job still queued or
-/// in flight.
-#[test]
-fn engine_drop_without_drain_never_wedges() {
-    let p = CodeParams::default().with_n(32).with_b(4);
-    let dec = BubbleDecoder::new(&p);
-    let rx = make_rx(&p, 2, 0xDEAD);
-
-    let workers = 2usize;
-    let cfg = CheckConfig {
-        schedules: schedule_budget(250).min(250),
-        seed: 0xD20D,
-        declared_threads: Some(1 + workers),
-    };
-    let (results, stats) = check_random(&cfg, || {
-        let engine = DecodeEngine::new(workers);
-        await_participants(1 + workers);
-        engine.submit(&dec, &rx);
-        engine.submit(&dec, &rx);
-        // Dropped with both jobs possibly still queued.
-    });
-    stats.assert_clean("drop without drain");
-    assert_eq!(
-        results.len(),
-        stats.schedules,
-        "a drop-without-drain schedule wedged"
-    );
-}
-
-/// The submit-racing-drain hazard (ISSUE satellite): a second
-/// coordinator thread submits *while* the main thread drains. Under the
-/// generation-counted stream every schedule must land the raced
-/// submission in exactly one generation — the one the drain closed
-/// (drain waits for it) or the next (a later drain returns it). No
-/// schedule may lose it, duplicate it, return results out of
-/// submission order, or leave a stale completion behind.
-#[test]
-fn engine_submit_racing_drain_loses_nothing() {
-    let p = CodeParams::default().with_n(32).with_b(4);
-    let dec = BubbleDecoder::new(&p);
-    let rxs: Vec<RxSymbols> = (0..3).map(|i| make_rx(&p, 2, 0xF0 + i)).collect();
-    let serial = fingerprint_serial(&dec, &rxs);
-
-    let workers = 2usize;
-    let cfg = CheckConfig {
-        schedules: schedule_budget(250).min(250),
-        seed: 0xACE5,
-        // Main + workers + the racing submitter. The racer registers at
-        // its first lock, mid-race by design — declared_threads only
-        // tightens stall detection once everyone has shown up.
-        declared_threads: Some(1 + workers + 1),
-    };
-    let (results, stats) = check_random(&cfg, || {
-        let engine = DecodeEngine::new(workers);
-        await_participants(1 + workers);
-        engine.submit(&dec, &rxs[0]);
-        engine.submit(&dec, &rxs[1]);
-        let first = std::thread::scope(|s| {
-            let racer = s.spawn(|| engine.submit(&dec, &rxs[2]));
-            let first = engine.drain();
-            racer
-                .join()
-                .unwrap_or_else(|_| panic!("racing submitter panicked"));
-            first
-        });
-        let second = engine.drain();
-        let split = first.len();
-        let got: Vec<Fingerprint> = first
-            .into_iter()
-            .chain(second)
-            .map(|r| {
-                let r = r.expect("clean submit decodes");
-                (r.message, r.cost.to_bits())
-            })
-            .collect();
-        (got, split, engine.stale_completions())
-    });
-    stats.assert_clean("submit racing drain");
-    assert_eq!(results.len(), stats.schedules, "a racing schedule wedged");
-    let mut splits = std::collections::HashSet::new();
-    for (i, (got, split, stale)) in results.iter().enumerate() {
-        assert_eq!(
-            got, &serial,
-            "schedule {i}: raced submission lost, duplicated, or reordered"
-        );
-        assert!(
-            *split == 2 || *split == 3,
-            "schedule {i}: drain returned {split} results for its generation"
-        );
-        assert_eq!(*stale, 0, "schedule {i}: completion leaked as stale");
-        splits.insert(*split);
-    }
-    // The race must actually branch: some schedules drain the raced
-    // submission in the first generation, others in the second.
-    assert_eq!(
-        splits.len(),
-        2,
-        "race never explored both generations: splits {splits:?}"
-    );
-}
-
-/// The panic-racing-drain hazard (PR 10 tentpole): a poisoned job
-/// panics on its worker *while* healthy jobs run and the coordinator
-/// drains. On every schedule the panic must resolve as a structured
-/// failure in its submission slot — never aborting the process, never
-/// hanging the drain, never losing or duplicating the healthy results —
-/// and the poisoned slot's worker must respawn exactly once with the
-/// generation books balanced.
-#[test]
-fn engine_panic_racing_drain_resolves_structurally_on_every_schedule() {
-    let p = CodeParams::default().with_n(32).with_b(4);
-    let dec = BubbleDecoder::new(&p);
-    let rxs: Vec<RxSymbols> = (0..2).map(|i| make_rx(&p, 2, 0xB00 + i)).collect();
-    let serial = fingerprint_serial(&dec, &rxs);
-
-    let workers = 2usize;
-    let cfg = CheckConfig {
-        schedules: schedule_budget(250).min(250),
-        seed: 0xBAD_5EED,
-        // The respawned replacement worker joins mid-schedule, so the
-        // participant population is not fixed — leave the thread count
-        // undeclared and let stall detection adapt.
-        declared_threads: None,
-    };
-    let (results, stats) = check_random(&cfg, || {
-        let engine = DecodeEngine::new(workers);
-        await_participants(1 + workers);
-        engine.submit(&dec, &rxs[0]);
-        engine.submit_poison("model-checked poison");
-        engine.submit(&dec, &rxs[1]);
-        let drained = engine.drain();
-        let oks: Vec<Fingerprint> = drained
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match r {
-                Ok(r) => Some((r.message.clone(), r.cost.to_bits())),
-                Err(spinal_core::DecodeFailure::WorkerPanicked { payload_msg }) => {
-                    assert_eq!(i, 1, "failure surfaced outside the poisoned slot");
-                    assert_eq!(payload_msg, "model-checked poison");
-                    None
-                }
-                Err(other) => panic!("poison resolved as {other:?}"),
-            })
-            .collect();
-        let errs = drained.iter().filter(|r| r.is_err()).count();
-        (
-            oks,
-            errs,
-            engine.stats().worker_respawns,
-            engine.stale_completions(),
-        )
-    });
-    stats.assert_clean("panic racing drain");
-    assert_eq!(results.len(), stats.schedules, "a panic schedule wedged");
-    for (i, (oks, errs, respawns, stale)) in results.iter().enumerate() {
-        assert_eq!(
-            oks, &serial,
-            "schedule {i}: healthy results lost, duplicated, or corrupted by the panic"
-        );
-        assert_eq!(*errs, 1, "schedule {i}: exactly one structured failure");
-        assert_eq!(*respawns, 1, "schedule {i}: poisoned worker respawns once");
-        assert_eq!(*stale, 0, "schedule {i}: completion leaked as stale");
-    }
+/// One checked body: a fresh `workers`-wide engine decodes `rxs` as one
+/// batch, then drops — shutdown broadcast and worker joins run under
+/// the model on every schedule.
+fn batch_fingerprints(workers: usize, dec: &BubbleDecoder, rxs: &[RxSymbols]) -> Vec<Fingerprint> {
+    let engine = DecodeEngine::new(workers);
+    // Worker registration races spawn latency; pin it so every
+    // schedule explores the same participant set.
+    await_participants(1 + workers);
+    engine
+        .decode_batch_parallel(dec, rxs)
+        .into_iter()
+        .map(|r| (r.message, r.cost.to_bits()))
+        .collect()
 }
 
 /// Diagnostic (ignored): dump schedule structure for tuning.
@@ -334,14 +139,8 @@ fn dump_schedule_structure() {
                 depth: 3,
             }
         };
-        let out = spinal_check::run_schedule(strat, Some(3), || {
-            let engine = DecodeEngine::new(2);
-            await_participants(3);
-            for rx in &rxs {
-                engine.submit(&dec, rx);
-            }
-            engine.drain().len()
-        });
+        let out =
+            spinal_check::run_schedule(strat, Some(3), || batch_fingerprints(2, &dec, &rxs).len());
         eprintln!(
             "run {i}: hash={:016x} choices={:?} steps={} steals={} diverged={}",
             out.schedule_hash, out.choices, out.steps, out.steals, out.diverged
@@ -356,14 +155,7 @@ fn dump_distinct_rates() {
     let p = CodeParams::default().with_n(32).with_b(4);
     let dec = BubbleDecoder::new(&p);
     let rxs: Vec<RxSymbols> = (0..3).map(|i| make_rx(&p, 2, 0xD0 + i)).collect();
-    let body = || {
-        let engine = DecodeEngine::new(2);
-        await_participants(3);
-        for rx in &rxs {
-            engine.submit(&dec, rx);
-        }
-        engine.drain().len()
-    };
+    let body = || batch_fingerprints(2, &dec, &rxs).len();
     for (name, pct) in [("random", false), ("pct", true)] {
         let mut hashes = std::collections::HashSet::new();
         for i in 0..40u64 {

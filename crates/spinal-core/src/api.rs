@@ -55,8 +55,9 @@
 //!
 //! A request decodes one block on the calling thread. To decode many
 //! blocks across cores, hand them whole to a
-//! [`DecodeEngine`](crate::DecodeEngine) (batch or submit/drain) or a
-//! [`DecodeService`](crate::DecodeService).
+//! [`DecodeEngine`](crate::DecodeEngine) batch, or stream them through
+//! a [`DecodeService`](crate::DecodeService) with one session per
+//! block.
 
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
 use crate::rx::{RxBits, RxSymbols};

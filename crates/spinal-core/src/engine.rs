@@ -2,15 +2,13 @@
 //! independent blocks across cores.
 //!
 //! Parallelism is **across blocks**:
-//! [`DecodeEngine::decode_batch_parallel`], the streaming
-//! [`DecodeEngine::submit`]/[`DecodeEngine::drain`] pair, and the
-//! service layer's dispatch hook each hand one whole block to one
-//! worker, which owns one [`DecodeWorkspace`] for its lifetime — the
-//! per-core workspace that keeps the §7.1 attempt loop allocation-free
-//! once warm. The block's beam search runs serially in the
-//! [`decoder`](crate::decoder) under the submitting decoder's profile,
-//! so every path is bit-for-bit identical to a serial decode at every
-//! thread count. The paper's case for splitting one beam step across
+//! [`DecodeEngine::decode_batch_parallel`] and the service layer's
+//! dispatch hook each hand one whole block to one worker, which owns
+//! one [`DecodeWorkspace`] for its lifetime — the per-core workspace
+//! that keeps the §7.1 attempt loop allocation-free once warm. The
+//! block's beam search runs serially in the [`decoder`](crate::decoder)
+//! under the submitting decoder's profile, so every path is bit-for-bit
+//! identical to a serial decode at every thread count. The paper's case for splitting one beam step across
 //! parallel lanes (§7, and "De-randomizing Shannon") is a hardware
 //! argument; in software on a few cores the per-step dispatch costs
 //! more than it saves, so the engine never splits a block.
@@ -28,9 +26,9 @@
 //! A worker that **panics** mid-job no longer takes the process with it
 //! (the seed called `std::process::abort()` here): the attempt resolves
 //! as [`DecodeFailure::WorkerPanicked`] — delivered through the same
-//! completion channel a success would use, so `drain`/gather waiters
-//! never hang — the poisoned thread exits, and its slot is respawned
-//! with a fresh [`DecodeWorkspace`] (counted in
+//! completion channel a success would use, so batch and session
+//! waiters never hang — the poisoned thread exits, and its slot is
+//! respawned with a fresh [`DecodeWorkspace`] (counted in
 //! [`EngineStats::worker_respawns`]). An optional **stuck-attempt
 //! watchdog** ([`DecodeEngine::with_watchdog`]) pairs a per-worker
 //! heartbeat epoch (bumped at job boundaries and at every beam step via
@@ -40,8 +38,8 @@
 //! [`WatchdogPolicy::CancelAndRespawn`] its attempt resolves as
 //! [`DecodeFailure::StuckAttempt`], the wedged thread is detached, and
 //! the slot is refilled. A cancelled attempt that later finishes anyway
-//! is dropped by the (idempotent) completion latches and counted as
-//! stale — never delivered twice, never lost silently.
+//! is dropped by the (idempotent) completion latches — never delivered
+//! twice; the service counts it as stale.
 
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
 use crate::rx::RxSymbols;
@@ -54,8 +52,9 @@ use std::time::{Duration, Instant};
 /// Structured failure of one decode attempt. Since the self-healing
 /// rework a failing worker never aborts the process: the attempt
 /// resolves with one of these through the same completion path a
-/// success would take (engine [`DecodeEngine::drain`], gather latches,
-/// service `wait`/`try_result`).
+/// success would take (session
+/// [`wait`](crate::service::Session::wait)/[`try_result`](crate::service::Session::try_result),
+/// or the batch gather latch).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeFailure {
     /// The decode job panicked on its worker. The panic payload's
@@ -142,10 +141,6 @@ pub struct EngineStats {
     pub watchdog_flags: u64,
     /// Stuck attempts the watchdog cancelled (≤ flags).
     pub watchdog_cancels: u64,
-    /// Submit completions that arrived after their generation was
-    /// forgotten, or after their attempt was already resolved (e.g. a
-    /// watchdog-cancelled job that finished anyway).
-    pub stale_completions: u64,
 }
 
 /// The work half of a pool job: runs on a worker, with exclusive use of
@@ -527,75 +522,6 @@ impl<T> Gather<T> {
     }
 }
 
-/// One generation of the submit/drain stream: the submissions issued
-/// between two `drain` calls, identified by a monotone counter.
-struct GenStream {
-    gen: u64,
-    results: Vec<Option<Result<DecodeResult, DecodeFailure>>>,
-    issued: usize,
-    done: usize,
-}
-
-impl GenStream {
-    fn new(gen: u64) -> Self {
-        GenStream {
-            gen,
-            results: Vec::new(),
-            issued: 0,
-            done: 0,
-        }
-    }
-}
-
-struct SubmitState {
-    /// The generation currently accepting submissions.
-    open: GenStream,
-    /// Generations closed by a `drain` that is still waiting for their
-    /// in-flight jobs (one entry per concurrent drain).
-    closed: Vec<GenStream>,
-    /// Completions whose generation no longer exists (its stream was
-    /// forgotten) or whose slot was already resolved (a cancelled
-    /// attempt finishing late): detected, counted, and dropped — never
-    /// attached to a newer stream, never double-delivered.
-    stale: u64,
-}
-
-struct SubmitShared {
-    state: Mutex<SubmitState>,
-    done: Condvar,
-}
-
-impl SubmitShared {
-    /// Record one finished submission against its generation. A
-    /// completion whose stream is gone (the generation was forgotten)
-    /// or whose slot was already resolved is counted as stale instead
-    /// of corrupting a newer stream or double-filling a slot.
-    fn complete(&self, gen: u64, idx: usize, result: Result<DecodeResult, DecodeFailure>) {
-        let mut st = self.state.lock();
-        let landed = {
-            let stream = if st.open.gen == gen {
-                Some(&mut st.open)
-            } else {
-                st.closed.iter_mut().find(|s| s.gen == gen)
-            };
-            match stream {
-                Some(s) if s.results[idx].is_none() => {
-                    s.results[idx] = Some(result);
-                    s.done += 1;
-                    if s.done == s.issued {
-                        self.done.notify_all();
-                    }
-                    true
-                }
-                _ => false,
-            }
-        };
-        if !landed {
-            st.stale += 1;
-        }
-    }
-}
-
 /// A persistent multi-threaded decode engine that schedules whole
 /// blocks onto a worker pool. See the module docs for the scheduling
 /// model and the self-healing machinery around it.
@@ -608,16 +534,14 @@ impl SubmitShared {
 ///
 /// All methods take `&self`; the engine is `Sync` and can be shared by
 /// several sweep workers (inline decodes serialise on the engine's one
-/// workspace, pooled jobs interleave in the shared queue). The
-/// [`DecodeEngine::submit`]/[`DecodeEngine::drain`] pair is one shared
-/// stream, but generation-counted so a racing drain closes only its own
-/// generation — see its docs.
+/// workspace, pooled jobs interleave in the shared queue). Callers that
+/// stream blocks and need a completion handle per block use a
+/// [`DecodeService`](crate::service::DecodeService) session instead.
 pub struct DecodeEngine {
     threads: usize,
     pool: Option<WorkerPool>,
     /// The workspace inline (thread budget 1) decodes run through.
     ws: Mutex<DecodeWorkspace>,
-    submits: Arc<SubmitShared>,
 }
 
 impl std::fmt::Debug for DecodeEngine {
@@ -637,14 +561,6 @@ impl DecodeEngine {
             threads,
             pool: (threads > 1).then(|| WorkerPool::new(threads)),
             ws: Mutex::new(DecodeWorkspace::new()),
-            submits: Arc::new(SubmitShared {
-                state: Mutex::new(SubmitState {
-                    open: GenStream::new(0),
-                    closed: Vec::new(),
-                    stale: 0,
-                }),
-                done: Condvar::new(),
-            }),
         }
     }
 
@@ -663,21 +579,19 @@ impl DecodeEngine {
         self.threads
     }
 
-    /// Snapshot the self-healing counters: worker respawns, watchdog
-    /// flags/cancels, stale completions. All zero on a healthy engine.
+    /// Snapshot the self-healing counters: worker respawns and watchdog
+    /// flags/cancels. All zero on a healthy engine.
     pub fn stats(&self) -> EngineStats {
-        let (worker_respawns, watchdog_flags, watchdog_cancels) = match &self.pool {
-            None => (0, 0, 0),
+        match &self.pool {
+            None => EngineStats::default(),
             Some(pool) => {
                 let st = pool.shared.state.lock();
-                (st.respawns, st.watchdog_flags, st.watchdog_cancels)
+                EngineStats {
+                    worker_respawns: st.respawns,
+                    watchdog_flags: st.watchdog_flags,
+                    watchdog_cancels: st.watchdog_cancels,
+                }
             }
-        };
-        EngineStats {
-            worker_respawns,
-            watchdog_flags,
-            watchdog_cancels,
-            stale_completions: self.submits.state.lock().stale,
         }
     }
 
@@ -691,8 +605,9 @@ impl DecodeEngine {
     /// If a worker fails mid-batch (panic or watchdog cancel) the
     /// failure propagates as a panic *on the calling thread* with the
     /// structured failure's message — batch callers have no per-block
-    /// failure channel. Streaming callers who need structured failures
-    /// use [`DecodeEngine::submit`]/[`DecodeEngine::drain`].
+    /// failure channel. Callers who need structured failures decode
+    /// through [`DecodeService`](crate::service::DecodeService)
+    /// sessions, whose `wait` returns the [`DecodeFailure`].
     pub fn decode_batch_parallel(
         &self,
         dec: &BubbleDecoder,
@@ -725,141 +640,6 @@ impl DecodeEngine {
                     .unwrap_or_else(|f| panic!("batch decode failed: {f}"))
             }
         }
-    }
-
-    /// Queue one block for background decoding. Pair with
-    /// [`DecodeEngine::drain`]; results come back in submission order.
-    /// With a thread budget of 1 the decode runs inline here.
-    ///
-    /// The engine holds ONE submit/drain stream, but submissions are
-    /// tagged with a generation counter: each `drain` closes the current
-    /// generation and waits only for the submissions it saw, so a submit
-    /// racing a drain lands cleanly in the *next* generation instead of
-    /// being mis-ordered or lost, and a completion whose generation was
-    /// [forgotten](DecodeEngine::forget_submissions) is counted in
-    /// [`DecodeEngine::stale_completions`] rather than attached to a
-    /// newer stream. Multi-session callers should still prefer the
-    /// session layer ([`DecodeService`](crate::service::DecodeService)),
-    /// which gives every caller its own completion handle.
-    pub fn submit(&self, dec: &BubbleDecoder, rx: &RxSymbols) {
-        match &self.pool {
-            None => {
-                let result = dec.decode_symbols_impl(rx, &mut self.ws.lock());
-                let mut st = self.submits.state.lock();
-                st.open.results.push(Some(Ok(result)));
-                st.open.issued += 1;
-                st.open.done += 1;
-            }
-            Some(pool) => {
-                let (gen, idx) = self.reserve_submission();
-                let dec = Arc::new(dec.clone());
-                let rx = rx.clone();
-                let submits = Arc::clone(&self.submits);
-                let fail_submits = Arc::clone(&self.submits);
-                pool.submit(Job {
-                    run: Box::new(move |ws| {
-                        let result = dec.decode_symbols_impl(&rx, ws);
-                        submits.complete(gen, idx, Ok(result));
-                    }),
-                    on_fail: Some(Box::new(move |f| fail_submits.complete(gen, idx, Err(f)))),
-                });
-            }
-        }
-    }
-
-    /// Test-only failure injection: queue a submission whose job is
-    /// guaranteed to panic on its worker with `payload_msg`, exercising
-    /// the real catch → respawn → structured-completion path. On an
-    /// inline engine (no worker to poison) the failure is recorded
-    /// directly. The poisoned slot drains as
-    /// `Err(DecodeFailure::WorkerPanicked)` in submission order, like
-    /// any other result.
-    #[doc(hidden)]
-    pub fn submit_poison(&self, payload_msg: &str) {
-        let msg = payload_msg.to_string();
-        match &self.pool {
-            None => {
-                let mut st = self.submits.state.lock();
-                st.open
-                    .results
-                    .push(Some(Err(DecodeFailure::WorkerPanicked {
-                        payload_msg: msg,
-                    })));
-                st.open.issued += 1;
-                st.open.done += 1;
-            }
-            Some(pool) => {
-                let (gen, idx) = self.reserve_submission();
-                let submits = Arc::clone(&self.submits);
-                pool.submit(Job {
-                    run: Box::new(move |_ws| panic!("{}", msg)),
-                    on_fail: Some(Box::new(move |f| submits.complete(gen, idx, Err(f)))),
-                });
-            }
-        }
-    }
-
-    fn reserve_submission(&self) -> (u64, usize) {
-        let mut st = self.submits.state.lock();
-        let idx = st.open.issued;
-        st.open.issued += 1;
-        st.open.results.push(None);
-        (st.open.gen, idx)
-    }
-
-    /// Wait for every [`DecodeEngine::submit`] issued before this call —
-    /// from all threads — and return their outcomes in submission order:
-    /// `Ok(result)` for a clean decode, `Err(failure)` for an attempt
-    /// whose worker panicked or was cancelled by the watchdog (the
-    /// engine respawned the worker either way; later submissions are
-    /// unaffected). Closes the current generation: submissions that race
-    /// in while a drain waits start a fresh generation and are returned
-    /// by the *next* drain, never stolen by or blocking this one.
-    pub fn drain(&self) -> Vec<Result<DecodeResult, DecodeFailure>> {
-        let mut st = self.submits.state.lock();
-        let gen = st.open.gen;
-        let closing = std::mem::replace(&mut st.open, GenStream::new(gen + 1));
-        st.closed.push(closing);
-        loop {
-            let pos = st
-                .closed
-                .iter()
-                .position(|s| s.gen == gen)
-                .expect("closed generation present until drained");
-            if st.closed[pos].done == st.closed[pos].issued {
-                let stream = st.closed.swap_remove(pos);
-                return stream
-                    .results
-                    .into_iter()
-                    .map(|slot| slot.expect("drained submit completed"))
-                    .collect();
-            }
-            self.submits.done.wait(&mut st);
-        }
-    }
-
-    /// Abandon every submission issued so far that no drain has claimed:
-    /// the open generation is replaced and any still-running jobs from
-    /// it complete as *stale* (counted, dropped — see
-    /// [`DecodeEngine::stale_completions`]). Generations already closed
-    /// by a waiting [`DecodeEngine::drain`] are untouched. Returns how
-    /// many pending submissions were forgotten.
-    pub fn forget_submissions(&self) -> usize {
-        let mut st = self.submits.state.lock();
-        let gen = st.open.gen;
-        let forgotten = std::mem::replace(&mut st.open, GenStream::new(gen + 1));
-        // Jobs already finished in the forgotten stream stay accounted
-        // there (the stream is dropped whole); only still-running jobs
-        // re-surface later, as stale completions.
-        forgotten.issued
-    }
-
-    /// How many submit completions arrived after their generation was
-    /// [forgotten](DecodeEngine::forget_submissions) or their slot was
-    /// already resolved. A nonzero count means results were discarded
-    /// by design, not lost silently.
-    pub fn stale_completions(&self) -> u64 {
-        self.submits.state.lock().stale
     }
 
     /// Whether this engine runs a worker pool (`threads > 1`) or inline.
@@ -940,36 +720,6 @@ mod tests {
         for threads in [1, 2] {
             let engine = DecodeEngine::new(threads);
             assert!(engine.decode_batch_parallel(&dec, &[]).is_empty());
-            assert!(engine.drain().is_empty());
-        }
-    }
-
-    #[test]
-    fn submit_drain_preserves_submission_order() {
-        let p = CodeParams::default().with_n(64).with_b(16);
-        let rxs: Vec<RxSymbols> = (0..5).map(|s| make_rx(&p, 2, 40 + s)).collect();
-        let dec = BubbleDecoder::new(&p);
-        for threads in [1, 3] {
-            let engine = DecodeEngine::new(threads);
-            for rx in &rxs {
-                engine.submit(&dec, rx);
-            }
-            let results = engine.drain();
-            assert_eq!(results.len(), rxs.len(), "threads {threads}");
-            for (rx, out) in rxs.iter().zip(&results) {
-                let out = out.as_ref().expect("clean submit decodes");
-                let serial = DecodeRequest::new(&dec, rx).decode();
-                assert_eq!(serial.message, out.message);
-                assert_eq!(serial.cost.to_bits(), out.cost.to_bits());
-            }
-            // The engine is reusable after a drain.
-            engine.submit(&dec, &rxs[0]);
-            let again = engine.drain();
-            assert_eq!(again.len(), 1);
-            assert_eq!(
-                again[0].as_ref().expect("clean decode").message,
-                DecodeRequest::new(&dec, &rxs[0]).decode().message
-            );
         }
     }
 
@@ -977,9 +727,8 @@ mod tests {
     fn one_engine_serves_heterogeneous_parameters_and_profiles() {
         // Worker workspaces are parameter- AND profile-agnostic: one
         // engine must serve different (n, k, B, d) codes and alternating
-        // metric profiles back to back through one submit/drain stream.
+        // metric profiles back to back, batch after batch.
         let engine = DecodeEngine::new(2);
-        let mut expected = Vec::new();
         for (n, k, b, d) in [
             (64usize, 4usize, 16usize, 1usize),
             (60, 3, 8, 2),
@@ -990,20 +739,17 @@ mod tests {
                 .with_k(k)
                 .with_b(b)
                 .with_d(d);
-            let rx = make_rx(&p, 2, (n + b) as u64);
+            let seed = (n + b) as u64;
+            let rxs = [make_rx(&p, 2, seed), make_rx(&p, 2, seed + 1)];
             for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
                 let dec = BubbleDecoder::new(&p).with_profile(profile);
-                engine.submit(&dec, &rx);
-                let serial = DecodeRequest::new(&dec, &rx).decode();
-                expected.push((format!("{profile:?} n{n} k{k} B{b} d{d}"), serial));
+                let case = format!("{profile:?} n{n} k{k} B{b} d{d}");
+                for (rx, out) in rxs.iter().zip(engine.decode_batch_parallel(&dec, &rxs)) {
+                    let serial = DecodeRequest::new(&dec, rx).decode();
+                    assert_eq!(out.message, serial.message, "{case}");
+                    assert_eq!(out.cost.to_bits(), serial.cost.to_bits(), "{case}");
+                }
             }
-        }
-        let drained = engine.drain();
-        assert_eq!(drained.len(), expected.len());
-        for ((case, serial), out) in expected.iter().zip(&drained) {
-            let out = out.as_ref().expect("clean submit decodes");
-            assert_eq!(out.message, serial.message, "{case}");
-            assert_eq!(out.cost.to_bits(), serial.cost.to_bits(), "{case}");
         }
     }
 
@@ -1011,102 +757,6 @@ mod tests {
     fn thread_budget_is_clamped_and_reported() {
         assert_eq!(DecodeEngine::new(0).threads(), 1);
         assert_eq!(DecodeEngine::new(3).threads(), 3);
-    }
-
-    #[test]
-    fn forgotten_submissions_surface_as_stale_not_lost() {
-        let p = CodeParams::default().with_n(64).with_b(16);
-        let rxs: Vec<RxSymbols> = (0..3).map(|s| make_rx(&p, 2, 60 + s)).collect();
-        let dec = BubbleDecoder::new(&p);
-        for threads in [1, 3] {
-            let engine = DecodeEngine::new(threads);
-            for rx in &rxs {
-                engine.submit(&dec, rx);
-            }
-            // Abandon the open generation: its in-flight completions
-            // must be *counted* as stale, never delivered to a later
-            // drain and never silently dropped.
-            assert_eq!(engine.forget_submissions(), rxs.len(), "threads {threads}");
-            assert_eq!(engine.forget_submissions(), 0, "forget is idempotent");
-            engine.submit(&dec, &rxs[0]);
-            let after = engine.drain();
-            assert_eq!(after.len(), 1, "threads {threads}: post-forget drain");
-            assert_eq!(
-                after[0].as_ref().expect("clean decode").message,
-                DecodeRequest::new(&dec, &rxs[0]).decode().message
-            );
-            // Pooled engines run forgotten jobs to completion and count
-            // them; the inline engine never started them, so both ends
-            // of the contract are "stale ≤ forgotten, drained exact".
-            let stale = engine.stale_completions();
-            if threads == 1 {
-                assert_eq!(stale, 0, "inline engine runs nothing it forgets");
-            } else {
-                assert!(
-                    stale <= rxs.len() as u64,
-                    "stale {stale} exceeds the {} forgotten jobs",
-                    rxs.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn injected_panic_resolves_structurally_and_respawns() {
-        let p = CodeParams::default().with_n(64).with_b(16);
-        let rxs: Vec<RxSymbols> = (0..2).map(|s| make_rx(&p, 2, 80 + s)).collect();
-        let dec = BubbleDecoder::new(&p);
-        for threads in [1, 2, 3] {
-            let engine = DecodeEngine::new(threads);
-            engine.submit(&dec, &rxs[0]);
-            engine.submit_poison("injected decode panic");
-            engine.submit(&dec, &rxs[1]);
-            let results = engine.drain();
-            assert_eq!(results.len(), 3, "threads {threads}");
-            assert!(results[0].is_ok(), "threads {threads}: first submit clean");
-            match &results[1] {
-                Err(DecodeFailure::WorkerPanicked { payload_msg }) => {
-                    assert_eq!(payload_msg, "injected decode panic", "threads {threads}");
-                }
-                other => panic!("threads {threads}: poison resolved as {other:?}"),
-            }
-            assert!(results[2].is_ok(), "threads {threads}: later submit clean");
-            let stats = engine.stats();
-            if threads > 1 {
-                assert_eq!(
-                    stats.worker_respawns, 1,
-                    "threads {threads}: poisoned worker respawned exactly once"
-                );
-            } else {
-                assert_eq!(stats.worker_respawns, 0, "inline engine has no workers");
-            }
-            assert_eq!(stats.stale_completions, 0, "threads {threads}");
-            // The engine keeps serving at full width after the respawn.
-            for rx in &rxs {
-                engine.submit(&dec, rx);
-            }
-            for (rx, out) in rxs.iter().zip(engine.drain()) {
-                let out = out.expect("post-respawn decode clean");
-                assert_eq!(out.message, DecodeRequest::new(&dec, rx).decode().message);
-            }
-        }
-    }
-
-    #[test]
-    fn repeated_panics_never_exhaust_the_pool() {
-        let p = CodeParams::default().with_n(64).with_b(16);
-        let rx = make_rx(&p, 2, 90);
-        let dec = BubbleDecoder::new(&p);
-        let engine = DecodeEngine::new(2);
-        for round in 0..5 {
-            engine.submit_poison("round poison");
-            engine.submit(&dec, &rx);
-            let results = engine.drain();
-            assert_eq!(results.len(), 2, "round {round}");
-            assert!(results[0].is_err(), "round {round}");
-            assert!(results[1].is_ok(), "round {round}");
-        }
-        assert_eq!(engine.stats().worker_respawns, 5);
     }
 
     #[test]
@@ -1208,11 +858,9 @@ mod tests {
         assert_eq!(stats.worker_respawns, 1);
         // The refilled pool still serves at full width — and the wedged
         // thread's eventual silent exit does not disturb it.
-        engine.submit(&dec, &rx);
-        engine.submit(&dec, &rx);
-        for out in engine.drain() {
-            let out = out.expect("post-cancel decode clean");
-            assert_eq!(out.message, DecodeRequest::new(&dec, &rx).decode().message);
+        let serial = DecodeRequest::new(&dec, &rx).decode();
+        for out in engine.decode_batch_parallel(&dec, &[rx.clone(), rx.clone()]) {
+            assert_eq!(out.message, serial.message);
         }
     }
 
@@ -1229,12 +877,10 @@ mod tests {
             after: Duration::from_millis(25),
             policy: WatchdogPolicy::CancelAndRespawn,
         });
-        for _ in 0..3 {
-            engine.submit(&dec, &rx);
-        }
-        for out in engine.drain() {
-            let out = out.expect("slow decode must complete, not be cancelled");
-            assert_eq!(out.message, DecodeRequest::new(&dec, &rx).decode().message);
+        // A cancelled block would panic the batch on this thread.
+        let serial = DecodeRequest::new(&dec, &rx).decode();
+        for out in engine.decode_batch_parallel(&dec, &[rx.clone(), rx.clone(), rx.clone()]) {
+            assert_eq!(out.message, serial.message);
         }
         let stats = engine.stats();
         assert_eq!(stats.watchdog_flags, 0, "false positive: {stats:?}");
@@ -1252,10 +898,8 @@ mod tests {
         let rx = make_rx(&p, 1, 94);
         let dec = BubbleDecoder::new(&p);
         let engine = DecodeEngine::new(2).with_watchdog(WatchdogConfig::default());
-        engine.submit(&dec, &rx);
-        for out in engine.drain() {
-            out.expect("heavy decode must complete, not be cancelled");
-        }
+        // A cancelled block would panic the batch on this thread.
+        assert_eq!(engine.decode_batch_parallel(&dec, &[rx]).len(), 1);
         let stats = engine.stats();
         assert_eq!(stats.watchdog_flags, 0, "false positive: {stats:?}");
         assert_eq!(stats.watchdog_cancels, 0);

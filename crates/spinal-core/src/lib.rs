@@ -55,8 +55,8 @@
 //! | [`decoder`] | §4 | the bubble decoder |
 //! | [`api`] | §4, §7.1 | [`DecodeRequest`]: the single decode entry point |
 //! | [`quant`] | §7 | fixed-point metric profile: u16 tables, saturating u32 costs, radix selection |
-//! | [`engine`] | §7 | multi-threaded decode engine: whole blocks across a worker pool (batch, submit/drain) |
-//! | [`service`] | §7.1 | many-session decode service: per-session state, backpressure, metrics |
+//! | [`engine`] | §7 | multi-threaded decode engine: whole blocks across a worker pool (batch, and the pool [`service`] dispatches through) |
+//! | [`service`] | §7.1 | many-session decode service, the streaming surface: per-session state, backpressure, metrics |
 //! | [`ml`] | §4.1 | exhaustive exact-ML reference decoder |
 //! | [`sequential`] | §4.3 | classical stack sequential decoder |
 //! | [`bitmode`] | §3 | spinal over an existing PHY (coded bits + LLRs) |

@@ -4,9 +4,9 @@
 //! The paper's receiver is rateless and incremental — symbols trickle in
 //! per block and decodes retry at pass boundaries (§7.1) — and the
 //! operating regime of interest is *many* such blocks in flight at once
-//! (ROADMAP item 2; the amortized many-user shape analyzed in
-//! "De-randomizing Shannon", arXiv 1206.0418). The engine's raw
-//! submit/drain stream serves one coordinator; this module gives every
+//! (the amortized many-user shape analyzed in "De-randomizing
+//! Shannon", arXiv 1206.0418). The engine's batch path serves a caller
+//! that holds every block up front; this module gives every in-flight
 //! block its own handle:
 //!
 //! * **[`Session`]** — owns the per-block decode state: the receive
@@ -76,14 +76,6 @@ pub struct ServiceConfig {
     pub max_inflight: usize,
     /// Queue ordering policy.
     pub policy: SchedulePolicy,
-    /// Quarantine a session after this many consecutive
-    /// [`Session::mark_failed`] calls: further submits fail with
-    /// [`SubmitError::Quarantined`] until [`Session::mark_ok`]. `0`
-    /// (the default) disables quarantine. Quarantine counts *caller*-
-    /// reported failures (e.g. CRC rejects) monotonically; the breakers
-    /// below react to *structured* failures ([`DecodeFailure`]) within a
-    /// time window and heal themselves — they generalize, not replace.
-    pub quarantine_after: u32,
     /// Per-session circuit breaker over structured decode failures.
     /// `None` (the default) disables it.
     pub session_breaker: Option<BreakerConfig>,
@@ -104,7 +96,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             max_inflight: 0,
             policy: SchedulePolicy::Fifo,
-            quarantine_after: 0,
             session_breaker: None,
             config_breaker: None,
             brownout: None,
@@ -322,12 +313,6 @@ pub enum SubmitError {
     /// This session already has an attempt in flight; `wait` for it (or
     /// poll [`Session::try_result`]) before submitting again.
     AttemptInFlight,
-    /// The session crossed [`ServiceConfig::quarantine_after`]
-    /// consecutive failures; [`Session::mark_ok`] lifts the quarantine.
-    Quarantined {
-        /// Consecutive failures recorded on the session.
-        failures: u32,
-    },
     /// A circuit breaker is open for this session (or its decoder
     /// configuration): recent attempts kept failing structurally, and
     /// the breaker refuses new work until the cooldown admits a probe.
@@ -350,12 +335,6 @@ impl std::fmt::Display for SubmitError {
             }
             SubmitError::AttemptInFlight => {
                 write!(f, "session already has a decode attempt in flight")
-            }
-            SubmitError::Quarantined { failures } => {
-                write!(
-                    f,
-                    "session quarantined after {failures} consecutive failures"
-                )
             }
             SubmitError::CircuitOpen { scope, retry_in } => {
                 let which = match scope {
@@ -463,6 +442,18 @@ enum SlotState {
     /// The session was dropped; late completions are discarded (and
     /// counted as stale).
     Abandoned,
+}
+
+/// How long [`Session::await_ending`] may block for the in-flight
+/// attempt to end.
+#[derive(Clone, Copy)]
+enum Block {
+    /// Not at all ([`Session::try_result`]).
+    Never,
+    /// Until it ends ([`Session::wait`]).
+    Forever,
+    /// Until this instant ([`Session::wait_timeout`]).
+    Until(Instant),
 }
 
 #[derive(Debug)]
@@ -586,7 +577,6 @@ struct MetricsInner {
     cancelled: u64,
     deadline_expired: u64,
     deadline_misses: u64,
-    quarantined: u64,
     failed: u64,
     worker_panics: u64,
     breaker_opened: u64,
@@ -634,9 +624,6 @@ pub struct MetricsSnapshot {
     /// Attempts that completed *after* their session's wall-clock
     /// deadline (result still delivered; the miss is the signal).
     pub deadline_misses: u64,
-    /// Sessions that crossed [`ServiceConfig::quarantine_after`]
-    /// consecutive failures (counted once per crossing).
-    pub sessions_quarantined: u64,
     /// Attempts that ended in a structured [`DecodeFailure`] (worker
     /// panic or watchdog cancel) — each also ends its submit exactly
     /// once, like a completion.
@@ -679,7 +666,7 @@ impl MetricsSnapshot {
                 "\"submits_rejected\":{},\"completions\":{},",
                 "\"stale_completions\":{},\"retries_total\":{},",
                 "\"attempts_cancelled\":{},\"attempts_deadline_expired\":{},",
-                "\"deadline_misses\":{},\"sessions_quarantined\":{},",
+                "\"deadline_misses\":{},",
                 "\"attempts_failed\":{},\"worker_panics\":{},",
                 "\"breaker_opened\":{},\"breaker_closed\":{},",
                 "\"breaker_rejected\":{},\"brownout_sheds\":{},",
@@ -701,7 +688,6 @@ impl MetricsSnapshot {
             self.attempts_cancelled,
             self.attempts_deadline_expired,
             self.deadline_misses,
-            self.sessions_quarantined,
             self.attempts_failed,
             self.worker_panics,
             self.breaker_opened,
@@ -760,8 +746,9 @@ impl DecodeService {
         Self::with_engine(DecodeEngine::new(threads), cfg)
     }
 
-    /// Create a service around an existing engine (the engine's batch
-    /// and submit/drain entry points remain usable alongside).
+    /// Create a service around an existing engine, e.g. one with
+    /// [`DecodeEngine::with_watchdog`] enabled. The service owns the
+    /// engine and dispatches every session attempt through its pool.
     pub fn with_engine(engine: DecodeEngine, cfg: ServiceConfig) -> Self {
         let max_inflight = if cfg.max_inflight == 0 {
             engine.threads()
@@ -792,7 +779,6 @@ impl DecodeService {
                     cancelled: 0,
                     deadline_expired: 0,
                     deadline_misses: 0,
-                    quarantined: 0,
                     failed: 0,
                     worker_panics: 0,
                     breaker_opened: 0,
@@ -886,7 +872,6 @@ impl DecodeService {
             wall_deadline: opts.wall_deadline,
             position: 0,
             attempts: 0,
-            failures: 0,
             breaker: BreakerCore::new(),
             sheds: 0,
             poison: None,
@@ -912,7 +897,6 @@ impl DecodeService {
             attempts_cancelled: m.cancelled,
             attempts_deadline_expired: m.deadline_expired,
             deadline_misses: m.deadline_misses,
-            sessions_quarantined: m.quarantined,
             attempts_failed: m.failed,
             worker_panics: m.worker_panics,
             breaker_opened: m.breaker_opened,
@@ -1209,7 +1193,6 @@ pub struct Session {
     wall_deadline: Option<Instant>,
     position: usize,
     attempts: u64,
-    failures: u32,
     /// Per-session circuit breaker over structured failures.
     breaker: BreakerCore,
     /// Attempts shed by the brownout overload policy.
@@ -1263,12 +1246,6 @@ impl Session {
     pub fn submit(&mut self) -> Result<(), SubmitError> {
         if self.res.is_none() {
             return Err(SubmitError::AttemptInFlight);
-        }
-        if self.quarantined() {
-            self.svc.inner.metrics.lock().rejected += 1;
-            return Err(SubmitError::Quarantined {
-                failures: self.failures,
-            });
         }
         let inner = &self.svc.inner;
         let now = Instant::now();
@@ -1464,25 +1441,7 @@ impl Session {
     /// work is always driven by a pool worker or by `submit` itself on
     /// inline engines.
     pub fn wait(&mut self) -> Option<Result<DecodeResult, DecodeFailure>> {
-        if self.res.is_some() {
-            return None;
-        }
-        let mut sl = self.slot.state.lock();
-        loop {
-            match std::mem::replace(&mut *sl, SlotState::Idle) {
-                ended @ (SlotState::Ready(_)
-                | SlotState::Returned(_)
-                | SlotState::Shed(_)
-                | SlotState::Failed(_)) => {
-                    drop(sl);
-                    return self.settle(ended);
-                }
-                other => {
-                    *sl = other;
-                    self.slot.ready.wait(&mut sl);
-                }
-            }
-        }
+        self.await_ending(Block::Forever)
     }
 
     /// [`Session::wait`] with a timeout: `Some(outcome)` on completion,
@@ -1490,56 +1449,57 @@ impl Session {
     /// (cancelled / deadline-expired / shed — distinguishable because
     /// [`Session::buffer`] is `Some` again in that case, while a timed
     /// out attempt is still in flight and the buffer stays checked out).
+    /// A timeout too large to add to the clock (`Duration::MAX`) waits
+    /// like [`Session::wait`].
     pub fn wait_timeout(
         &mut self,
         timeout: Duration,
     ) -> Option<Result<DecodeResult, DecodeFailure>> {
+        let block = match Instant::now().checked_add(timeout) {
+            Some(deadline) => Block::Until(deadline),
+            None => Block::Forever,
+        };
+        self.await_ending(block)
+    }
+
+    /// Non-blocking [`Session::wait`]: `Some(outcome)` if the in-flight
+    /// attempt has completed, `None` otherwise (including when nothing
+    /// is in flight, or when a cancelled/expired/shed attempt just
+    /// handed its resources back). Reads no clock.
+    pub fn try_result(&mut self) -> Option<Result<DecodeResult, DecodeFailure>> {
+        self.await_ending(Block::Never)
+    }
+
+    /// The wait family's one loop: settle the in-flight attempt once
+    /// its slot reaches a terminal state, blocking on the slot's
+    /// condvar as `block` allows.
+    fn await_ending(&mut self, block: Block) -> Option<Result<DecodeResult, DecodeFailure>> {
         if self.res.is_some() {
             return None;
         }
-        let deadline = Instant::now() + timeout;
         let mut sl = self.slot.state.lock();
         loop {
-            match std::mem::replace(&mut *sl, SlotState::Idle) {
-                ended @ (SlotState::Ready(_)
-                | SlotState::Returned(_)
-                | SlotState::Shed(_)
-                | SlotState::Failed(_)) => {
-                    drop(sl);
-                    return self.settle(ended);
-                }
-                other => {
-                    *sl = other;
+            if matches!(
+                *sl,
+                SlotState::Ready(_)
+                    | SlotState::Returned(_)
+                    | SlotState::Shed(_)
+                    | SlotState::Failed(_)
+            ) {
+                let ended = std::mem::replace(&mut *sl, SlotState::Idle);
+                drop(sl);
+                return self.settle(ended);
+            }
+            match block {
+                Block::Never => return None,
+                Block::Forever => self.slot.ready.wait(&mut sl),
+                Block::Until(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
                         return None;
                     }
                     self.slot.ready.wait_for(&mut sl, deadline - now);
                 }
-            }
-        }
-    }
-
-    /// Non-blocking [`Session::wait`]: `Some(outcome)` if the in-flight
-    /// attempt has completed, `None` otherwise (including when nothing
-    /// is in flight, or when a cancelled/expired/shed attempt just
-    /// handed its resources back).
-    pub fn try_result(&mut self) -> Option<Result<DecodeResult, DecodeFailure>> {
-        if self.res.is_some() {
-            return None;
-        }
-        let mut sl = self.slot.state.lock();
-        match std::mem::replace(&mut *sl, SlotState::Idle) {
-            ended @ (SlotState::Ready(_)
-            | SlotState::Returned(_)
-            | SlotState::Shed(_)
-            | SlotState::Failed(_)) => {
-                drop(sl);
-                self.settle(ended)
-            }
-            other => {
-                *sl = other;
-                None
             }
         }
     }
@@ -1561,38 +1521,6 @@ impl Session {
             }
             _ => false,
         }
-    }
-
-    /// Record one failed attempt (e.g. a CRC-rejected decode) toward
-    /// quarantine; returns the consecutive-failure count. Crossing
-    /// [`ServiceConfig::quarantine_after`] counts the session in
-    /// [`MetricsSnapshot::sessions_quarantined`] once.
-    pub fn mark_failed(&mut self) -> u32 {
-        self.failures = self.failures.saturating_add(1);
-        let threshold = self.svc.inner.cfg.quarantine_after;
-        if threshold > 0 && self.failures == threshold {
-            self.svc.inner.metrics.lock().quarantined += 1;
-        }
-        self.failures
-    }
-
-    /// Reset the consecutive-failure count (e.g. after a successful
-    /// decode), lifting any quarantine.
-    pub fn mark_ok(&mut self) {
-        self.failures = 0;
-    }
-
-    /// True when the session has crossed
-    /// [`ServiceConfig::quarantine_after`] consecutive failures and
-    /// submits are refused.
-    pub fn quarantined(&self) -> bool {
-        let threshold = self.svc.inner.cfg.quarantine_after;
-        threshold > 0 && self.failures >= threshold
-    }
-
-    /// Consecutive failures recorded since the last [`Session::mark_ok`].
-    pub fn failures(&self) -> u32 {
-        self.failures
     }
 
     /// Attempts of this session shed by the brownout overload policy.
@@ -1897,7 +1825,6 @@ mod tests {
             "attempts_cancelled",
             "attempts_deadline_expired",
             "deadline_misses",
-            "sessions_quarantined",
             "attempts_failed",
             "worker_panics",
             "breaker_opened",
@@ -2042,68 +1969,6 @@ mod tests {
             .expect("inline decode already finished")
             .expect("clean");
         assert_eq!(got.message, message);
-    }
-
-    #[test]
-    fn quarantine_refuses_submits_until_marked_ok() {
-        let cfg = ServiceConfig {
-            quarantine_after: 2,
-            ..ServiceConfig::default()
-        };
-        let svc = DecodeService::new(1, cfg);
-        let (params, _message, ys) = setup(41);
-        let dec = Arc::new(BubbleDecoder::new(&params));
-        let mut session = svc
-            .open_session(
-                &dec,
-                SessionBuffer::Symbols(rx_for(&params, &ys)),
-                SessionOptions::default(),
-            )
-            .expect("admitted");
-        assert_eq!(session.mark_failed(), 1);
-        assert!(!session.quarantined(), "one failure is below the bar");
-        session.submit().expect("still allowed");
-        assert!(session.wait().is_some());
-        assert_eq!(session.mark_failed(), 2);
-        assert!(session.quarantined());
-        assert_eq!(
-            session.submit(),
-            Err(SubmitError::Quarantined { failures: 2 })
-        );
-        let m = svc.metrics();
-        assert_eq!(m.sessions_quarantined, 1);
-        assert_eq!(m.submits_rejected, 1);
-        // Recovery lifts the quarantine.
-        session.mark_ok();
-        assert!(!session.quarantined());
-        session.submit().expect("quarantine lifted");
-        assert!(session.wait().is_some());
-        // Crossing the threshold twice counts the session twice — it is
-        // a "times quarantined" counter, not a live gauge.
-        session.mark_failed();
-        session.mark_failed();
-        assert_eq!(svc.metrics().sessions_quarantined, 2);
-    }
-
-    #[test]
-    fn quarantine_disabled_by_default() {
-        let svc = DecodeService::new(1, ServiceConfig::default());
-        let (params, _message, ys) = setup(43);
-        let dec = Arc::new(BubbleDecoder::new(&params));
-        let mut session = svc
-            .open_session(
-                &dec,
-                SessionBuffer::Symbols(rx_for(&params, &ys)),
-                SessionOptions::default(),
-            )
-            .expect("admitted");
-        for _ in 0..100 {
-            session.mark_failed();
-        }
-        assert!(!session.quarantined(), "quarantine_after=0 disables it");
-        session.submit().expect("never refused");
-        assert!(session.wait().is_some());
-        assert_eq!(svc.metrics().sessions_quarantined, 0);
     }
 
     #[test]
@@ -2320,49 +2185,83 @@ mod tests {
 
     #[test]
     fn poisoned_pooled_attempt_books_balance_and_respawns_worker() {
-        // Pooled engine: the poison panics on a real worker thread, the
+        // Pooled engine: each poison panics on a real worker thread, the
         // engine catches it, respawns the slot, and the service surfaces
         // the structured failure — then the session decodes again on the
-        // replacement worker.
-        let svc = DecodeService::new(2, ServiceConfig::default());
-        let (params, message, ys) = setup(67);
-        let dec = Arc::new(BubbleDecoder::new(&params));
-        let mut session = svc
-            .open_session(
-                &dec,
-                SessionBuffer::Symbols(rx_for(&params, &ys)),
-                SessionOptions::default(),
-            )
-            .expect("admitted");
-        session.poison_next_attempt("pooled poison");
-        session.submit().expect("queued");
-        let failure = session
-            .wait()
-            .expect("attempt was in flight")
-            .expect_err("poisoned attempt fails structurally");
-        assert!(matches!(failure, DecodeFailure::WorkerPanicked { .. }));
-        let n_sym = match session.buffer().expect("resources recovered") {
-            SessionBuffer::Symbols(rx) => rx.symbols_received(),
-            SessionBuffer::Bits(_) => unreachable!(),
-        };
-        assert_eq!(n_sym, ys.len(), "receive buffer survives the panic");
-        assert_eq!(svc.inner.engine.stats().worker_respawns, 1);
-        // The session decodes normally on the respawned pool.
-        session.submit().expect("queued after failure");
-        let got = session.wait().expect("in flight").expect("clean");
-        assert_eq!(got.message, message);
-        let m = svc.metrics();
-        assert_eq!(m.worker_panics, 1);
-        assert_eq!(m.attempts_failed, 1);
-        assert_eq!(m.completions, 1);
-        assert_eq!(
-            m.submits,
-            m.completions
-                + m.attempts_cancelled
-                + m.attempts_deadline_expired
-                + m.attempts_failed
-                + m.brownout_sheds,
-            "every accepted submit ends exactly once"
-        );
+        // replacement worker. Repeated rounds must never exhaust the
+        // pool.
+        const ROUNDS: u64 = 5;
+        for threads in [2, 3] {
+            let svc = DecodeService::new(threads, ServiceConfig::default());
+            let (params, message, ys) = setup(67);
+            let dec = Arc::new(BubbleDecoder::new(&params));
+            let mut session = svc
+                .open_session(
+                    &dec,
+                    SessionBuffer::Symbols(rx_for(&params, &ys)),
+                    SessionOptions::default(),
+                )
+                .expect("admitted");
+            for round in 1..=ROUNDS {
+                let ctx = format!("threads {threads} round {round}");
+                session.poison_next_attempt("pooled poison");
+                session.submit().expect("queued");
+                match session.wait().expect("attempt was in flight") {
+                    Err(DecodeFailure::WorkerPanicked { payload_msg }) => {
+                        assert_eq!(payload_msg, "pooled poison", "{ctx}")
+                    }
+                    other => panic!("{ctx}: poison resolved as {other:?}"),
+                }
+                let n_sym = session
+                    .buffer()
+                    .expect("resources recovered")
+                    .symbols_received();
+                assert_eq!(n_sym, ys.len(), "{ctx}: receive buffer survives the panic");
+                assert_eq!(svc.inner.engine.stats().worker_respawns, round, "{ctx}");
+                // The session decodes normally on the respawned pool.
+                session.submit().expect("queued after failure");
+                let got = session.wait().expect("in flight").expect("clean");
+                assert_eq!(got.message, message, "{ctx}");
+            }
+            let m = svc.metrics();
+            assert_eq!(m.worker_panics, ROUNDS, "threads {threads}");
+            assert_eq!(m.attempts_failed, ROUNDS, "threads {threads}");
+            assert_eq!(m.completions, ROUNDS, "threads {threads}");
+            assert_eq!(m.stale_completions, 0, "threads {threads}");
+            assert_eq!(
+                m.submits,
+                m.completions
+                    + m.attempts_cancelled
+                    + m.attempts_deadline_expired
+                    + m.attempts_failed
+                    + m.brownout_sheds,
+                "threads {threads}: every accepted submit ends exactly once"
+            );
+        }
+    }
+
+    #[test]
+    fn wait_timeout_without_representable_deadline_waits_for_the_result() {
+        // `Duration::MAX` overflows `Instant + Duration`; it must mean
+        // "no deadline", whether the result is already waiting (inline)
+        // or still being decoded (pooled).
+        for threads in [1, 2] {
+            let svc = DecodeService::new(threads, ServiceConfig::default());
+            let (params, message, ys) = setup(71);
+            let dec = Arc::new(BubbleDecoder::new(&params));
+            let mut session = svc
+                .open_session(
+                    &dec,
+                    SessionBuffer::Symbols(rx_for(&params, &ys)),
+                    SessionOptions::default(),
+                )
+                .expect("admitted");
+            session.submit().expect("queued");
+            let got = session
+                .wait_timeout(Duration::MAX)
+                .expect("attempt was in flight")
+                .expect("clean");
+            assert_eq!(got.message, message, "threads {threads}");
+        }
     }
 }

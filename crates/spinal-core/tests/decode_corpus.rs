@@ -17,9 +17,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel, RayleighChannel};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeResult, Encoder, Message,
-    MetricProfile, RxBits, RxSymbols, Schedule,
+    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeResult, DecodeService, Encoder,
+    Message, MetricProfile, RxBits, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer,
+    SessionOptions,
 };
+use std::sync::Arc;
 
 #[derive(Clone, Copy)]
 enum Chan {
@@ -69,13 +71,7 @@ fn cases() -> Vec<Case> {
     v
 }
 
-/// The received buffer a corpus case decodes from.
-enum Rx {
-    Symbols(RxSymbols),
-    Bits(RxBits),
-}
-
-fn build_case(case: &Case) -> (CodeParams, Rx) {
+fn build_case(case: &Case) -> (CodeParams, SessionBuffer) {
     let params = CodeParams::default()
         .with_n(case.n)
         .with_k(case.k)
@@ -91,13 +87,13 @@ fn build_case(case: &Case) -> (CodeParams, Rx) {
             let mut rx = RxSymbols::new(schedule);
             let mut ch = AwgnChannel::new(snr_db, case.seed.wrapping_add(1000));
             rx.push(&ch.transmit(&enc.next_symbols(symbols)));
-            Rx::Symbols(rx)
+            SessionBuffer::Symbols(rx)
         }
         Chan::Bsc(p) => {
             let mut rx = RxBits::new(schedule);
             let mut ch = BscChannel::new(p, case.seed.wrapping_add(1000));
             rx.push(&ch.transmit_bits(&enc.next_bits(symbols)));
-            Rx::Bits(rx)
+            SessionBuffer::Bits(rx)
         }
         Chan::Fading(snr_db, tau) => {
             let mut rx = RxSymbols::new(schedule);
@@ -105,19 +101,22 @@ fn build_case(case: &Case) -> (CodeParams, Rx) {
             let ys = ch.transmit(&enc.next_symbols(symbols));
             let hs: Vec<_> = (0..ys.len()).map(|i| ch.csi(i).unwrap()).collect();
             rx.push_with_csi(&ys, &hs);
-            Rx::Symbols(rx)
+            SessionBuffer::Symbols(rx)
         }
     };
     (params, rx)
 }
 
+fn serial_decode(dec: &BubbleDecoder, rx: &SessionBuffer) -> DecodeResult {
+    match rx {
+        SessionBuffer::Symbols(rx) => DecodeRequest::new(dec, rx).decode(),
+        SessionBuffer::Bits(rx) => DecodeRequest::new(dec, rx).decode(),
+    }
+}
+
 fn decode_case(case: &Case) -> DecodeResult {
     let (params, rx) = build_case(case);
-    let dec = BubbleDecoder::new(&params);
-    match &rx {
-        Rx::Symbols(rx) => DecodeRequest::new(&dec, rx).decode(),
-        Rx::Bits(rx) => DecodeRequest::new(&dec, rx).decode(),
-    }
+    serial_decode(&BubbleDecoder::new(&params), &rx)
 }
 
 fn hex(bytes: &[u8]) -> String {
@@ -172,84 +171,103 @@ const EXPECTED: &[(&str, f64)] = &[
     ("0da5ddd8a01c2e9f", 0.26458027083009833),
 ];
 
-/// A decoder and the consecutive symbol cases that share its parameter
+/// A decoder and the consecutive corpus cases that share its parameter
 /// set, each with its serial decode: the shape the engine's batch path
 /// takes (one decoder per batch).
-type Batch = (BubbleDecoder, Vec<(RxSymbols, DecodeResult)>);
+type Batch = (Arc<BubbleDecoder>, Vec<(SessionBuffer, DecodeResult)>);
 
-/// The corpus's symbol cases under `profile`, grouped into [`Batch`]es.
-fn symbol_batches(profile: MetricProfile) -> Vec<Batch> {
+/// Every corpus case under `profile`, grouped into [`Batch`]es.
+fn corpus_batches(profile: MetricProfile) -> Vec<Batch> {
     let mut batches: Vec<(CodeParams, Batch)> = Vec::new();
     for case in cases() {
         let (params, rx) = build_case(&case);
-        let Rx::Symbols(rx) = rx else { continue };
         if batches.last().is_none_or(|(p, _)| *p != params) {
-            let dec = BubbleDecoder::new(&params).with_profile(profile);
+            let dec = Arc::new(BubbleDecoder::new(&params).with_profile(profile));
             batches.push((params, (dec, Vec::new())));
         }
         let (_, (dec, cases)) = batches.last_mut().expect("batch just pushed");
-        let serial = DecodeRequest::new(dec, &rx).decode();
+        let serial = serial_decode(dec, &rx);
         cases.push((rx, serial));
     }
     batches.into_iter().map(|(_, batch)| batch).collect()
 }
 
-/// Decode every batch through `engine` twice — `decode_batch_parallel`
-/// and `submit`/`drain` — and require the serial decode bit for bit
-/// (message bytes AND cost bits).
-fn assert_engine_matches_serial(engine: &DecodeEngine, batches: &[Batch], label: &str) {
-    let threads = engine.threads();
+/// Decode every batch through a long-lived `threads`-wide engine and
+/// service — one session per case, all submitted before any `wait`,
+/// and `decode_batch_parallel` on the symbol batches (the engine's
+/// batch path takes no bit buffers) — and require the serial decode bit
+/// for bit (message bytes AND cost bits).
+fn assert_paths_match_serial(threads: usize, batches: &[Batch], label: &str) {
+    let engine = DecodeEngine::new(threads);
+    let svc = DecodeService::new(threads, ServiceConfig::default());
     for (b, (dec, cases)) in batches.iter().enumerate() {
-        let rxs: Vec<RxSymbols> = cases.iter().map(|(rx, _)| rx.clone()).collect();
-        let batch = engine.decode_batch_parallel(dec, &rxs);
-        for rx in &rxs {
-            engine.submit(dec, rx);
+        let check = |path: &str, i: usize, out: &DecodeResult| {
+            let serial = &cases[i].1;
+            assert_eq!(
+                out.message, serial.message,
+                "{label} batch {b} case {i} {path} at {threads} threads: message drifted"
+            );
+            assert_eq!(
+                out.cost.to_bits(),
+                serial.cost.to_bits(),
+                "{label} batch {b} case {i} {path} at {threads} threads: cost drifted"
+            );
+        };
+        let mut sessions: Vec<Session> = cases
+            .iter()
+            .map(|(rx, _)| {
+                let mut session = svc
+                    .open_session(dec, rx.clone(), SessionOptions::default())
+                    .expect("admitted");
+                session.submit().expect("queued");
+                session
+            })
+            .collect();
+        for (i, session) in sessions.iter_mut().enumerate() {
+            let out = session.wait().expect("attempt in flight");
+            check("session", i, &out.expect("clean session decode"));
         }
-        let drained = engine.drain();
-        assert_eq!(batch.len(), cases.len());
-        assert_eq!(drained.len(), cases.len());
-        for (i, ((_, serial), (out, sub))) in
-            cases.iter().zip(batch.iter().zip(&drained)).enumerate()
-        {
-            let sub = sub.as_ref().expect("clean submit decodes");
-            for (path, out) in [("batch", out), ("submit/drain", sub)] {
-                assert_eq!(
-                    out.message, serial.message,
-                    "{label} batch {b} case {i} {path} at {threads} threads: message drifted"
-                );
-                assert_eq!(
-                    out.cost.to_bits(),
-                    serial.cost.to_bits(),
-                    "{label} batch {b} case {i} {path} at {threads} threads: cost drifted"
-                );
+        let symbols: Option<Vec<RxSymbols>> = cases
+            .iter()
+            .map(|(rx, _)| match rx {
+                SessionBuffer::Symbols(rx) => Some(rx.clone()),
+                SessionBuffer::Bits(_) => None,
+            })
+            .collect();
+        if let Some(rxs) = symbols {
+            let batch = engine.decode_batch_parallel(dec, &rxs);
+            assert_eq!(batch.len(), cases.len());
+            for (i, out) in batch.iter().enumerate() {
+                check("batch", i, out);
             }
         }
     }
 }
 
-/// The parallel engine must reproduce the serial decoder bit for bit on
-/// every symbol case of the corpus, at every tested thread count,
-/// through long-lived engines reused across heterogeneous cases (the
-/// deployment shape).
+/// The parallel paths must reproduce the serial decoder bit for bit on
+/// every case of the corpus, at every tested thread count, through a
+/// long-lived engine and service reused across heterogeneous cases (the
+/// deployment shape): sessions on every case, batch on the symbol
+/// cases.
 #[test]
 fn parallel_engine_matches_serial_on_corpus_at_every_thread_count() {
-    let batches = symbol_batches(MetricProfile::Exact);
+    let batches = corpus_batches(MetricProfile::Exact);
     for threads in [1usize, 2, 3, 8] {
-        assert_engine_matches_serial(&DecodeEngine::new(threads), &batches, "exact");
+        assert_paths_match_serial(threads, &batches, "exact");
     }
 }
 
 /// The quantized profile is NOT pinned against the recorded exact
 /// corpus (its equivalence contract is statistical), but it must be
-/// exactly as deterministic: on every symbol case — real AWGN and
-/// fading signals across the (n, k, B, d) grid — the serial quantized
-/// decode must match the engine's batch and submit/drain decodes bit
-/// for bit at every thread count.
+/// exactly as deterministic: on every case — real AWGN, fading and BSC
+/// observations across the (n, k, B, d) grid — the serial quantized
+/// decode must match the session decodes (and, on symbol cases, the
+/// batch decodes) bit for bit at every thread count.
 #[test]
 fn quantized_profile_is_engine_deterministic_on_corpus() {
-    let batches = symbol_batches(MetricProfile::Quantized);
+    let batches = corpus_batches(MetricProfile::Quantized);
     for threads in [1usize, 2, 8] {
-        assert_engine_matches_serial(&DecodeEngine::new(threads), &batches, "quantized");
+        assert_paths_match_serial(threads, &batches, "quantized");
     }
 }
 

@@ -1,10 +1,11 @@
 //! Parallel/serial equivalence: the `DecodeEngine` must be an execution
-//! strategy, not a different decoder. Both of its whole-block paths —
-//! the batched block pipeline (`decode_batch_parallel`) and the
-//! streaming `submit`/`drain` pair — must reproduce a serial
-//! `DecodeRequest` bit for bit (message bytes AND cost bits) at every
-//! thread count, for arbitrary `(k, B, d, channel)` scenarios and for
-//! the degenerate-observation regression cases from the NaN-safety work
+//! strategy, not a different decoder. Both whole-block paths — the
+//! engine's batched block pipeline (`decode_batch_parallel`) and
+//! `DecodeService` sessions (one per block, every block submitted
+//! before any `wait`) — must reproduce a serial `DecodeRequest` bit for
+//! bit (message bytes AND cost bits) at every thread count, for
+//! arbitrary `(k, B, d, channel)` scenarios and for the
+//! degenerate-observation regression cases from the NaN-safety work
 //! (where *every* leaf ties at `+∞` cost and only the canonical total
 //! order keeps the winner well-defined).
 
@@ -12,8 +13,10 @@ use proptest::prelude::*;
 use spinal_codes::core::{DecodeResult, MetricProfile};
 use spinal_codes::{
     AwgnChannel, BubbleDecoder, Channel, CodeParams, Complex, DecodeEngine, DecodeRequest,
-    DecodeWorkspace, Encoder, Message, RayleighChannel, RxSymbols, Schedule,
+    DecodeService, DecodeWorkspace, Encoder, Message, RayleighChannel, RxSymbols, Schedule,
+    ServiceConfig, Session, SessionBuffer, SessionOptions,
 };
+use std::sync::Arc;
 
 /// One generated decode scenario: parameters + received buffer.
 #[derive(Debug, Clone, Copy)]
@@ -21,8 +24,9 @@ struct Scenario {
     k: usize,
     d: usize,
     b: usize,
-    /// 0 = AWGN, 1 = Rayleigh with CSI. The engine schedules symbol
-    /// buffers only, so there is no BSC arm here.
+    /// 0 = AWGN, 1 = Rayleigh with CSI. The engine's batch path takes
+    /// symbol buffers only, so there is no BSC arm here (the decode
+    /// corpus runs its BSC cases through sessions).
     chan: u8,
     /// Index into [`THREAD_COUNTS`].
     threads_idx: usize,
@@ -59,13 +63,13 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
 }
 
 impl Scenario {
-    fn decoder(&self) -> BubbleDecoder {
+    fn decoder(&self) -> Arc<BubbleDecoder> {
         let profile = if self.quantized {
             MetricProfile::Quantized
         } else {
             MetricProfile::Exact
         };
-        BubbleDecoder::new(&self.params()).with_profile(profile)
+        Arc::new(BubbleDecoder::new(&self.params()).with_profile(profile))
     }
 
     fn params(&self) -> CodeParams {
@@ -111,33 +115,74 @@ fn assert_bitwise_equal(serial: &DecodeResult, parallel: &DecodeResult, context:
     );
 }
 
-/// Decode `rxs` through `engine` twice — as one batch, then through
-/// submit/drain — and require each block's serial decode bit for bit.
-fn assert_engine_matches_serial(
-    engine: &DecodeEngine,
-    dec: &BubbleDecoder,
+fn serial_decodes(dec: &BubbleDecoder, rxs: &[RxSymbols]) -> Vec<DecodeResult> {
+    rxs.iter()
+        .map(|rx| DecodeRequest::new(dec, rx).decode())
+        .collect()
+}
+
+/// A long-lived engine and service of one thread budget: the two
+/// whole-block parallel paths.
+struct Paths {
+    engine: DecodeEngine,
+    svc: DecodeService,
+}
+
+impl Paths {
+    fn new(threads: usize) -> Self {
+        Paths {
+            engine: DecodeEngine::new(threads),
+            svc: DecodeService::new(threads, ServiceConfig::default()),
+        }
+    }
+
+    /// Decode `rxs` twice — as one batch, then as one session per
+    /// block with every block submitted before any wait — and require
+    /// `serial` bit for bit.
+    fn assert_match(
+        &self,
+        dec: &Arc<BubbleDecoder>,
+        rxs: &[RxSymbols],
+        serial: &[DecodeResult],
+        context: &str,
+    ) {
+        let threads = self.engine.threads();
+        let batch = self.engine.decode_batch_parallel(dec, rxs);
+        assert_eq!(batch.len(), serial.len(), "{context}");
+        for (s, p) in serial.iter().zip(&batch) {
+            assert_bitwise_equal(s, p, &format!("{context} batch threads {threads}"));
+        }
+        let mut sessions: Vec<Session> = rxs
+            .iter()
+            .map(|rx| {
+                let buffer = SessionBuffer::Symbols(rx.clone());
+                let mut session = self
+                    .svc
+                    .open_session(dec, buffer, SessionOptions::default())
+                    .expect("admitted");
+                session.submit().expect("queued");
+                session
+            })
+            .collect();
+        for (s, session) in serial.iter().zip(&mut sessions) {
+            let p = session
+                .wait()
+                .expect("attempt in flight")
+                .expect("clean session decode");
+            assert_bitwise_equal(s, &p, &format!("{context} sessions threads {threads}"));
+        }
+    }
+}
+
+/// Decode `rxs` through both paths at `threads` and require each
+/// block's serial decode bit for bit.
+fn assert_paths_match_serial(
+    threads: usize,
+    dec: &Arc<BubbleDecoder>,
     rxs: &[RxSymbols],
     context: &str,
 ) {
-    let serial: Vec<DecodeResult> = rxs
-        .iter()
-        .map(|rx| DecodeRequest::new(dec, rx).decode())
-        .collect();
-    let threads = engine.threads();
-    let batch = engine.decode_batch_parallel(dec, rxs);
-    assert_eq!(batch.len(), serial.len(), "{context}");
-    for (s, p) in serial.iter().zip(&batch) {
-        assert_bitwise_equal(s, p, &format!("{context} batch threads {threads}"));
-    }
-    for rx in rxs {
-        engine.submit(dec, rx);
-    }
-    let drained = engine.drain();
-    assert_eq!(drained.len(), serial.len(), "{context}");
-    for (s, p) in serial.iter().zip(&drained) {
-        let p = p.as_ref().expect("clean submit decodes");
-        assert_bitwise_equal(s, p, &format!("{context} submit/drain threads {threads}"));
-    }
+    Paths::new(threads).assert_match(dec, rxs, &serial_decodes(dec, rxs), context);
 }
 
 proptest! {
@@ -152,18 +197,17 @@ proptest! {
         let rxs: Vec<RxSymbols> = (0..3)
             .map(|i| build(&Scenario { seed: sc.seed + i, ..sc }))
             .collect();
-        let engine = DecodeEngine::new(THREAD_COUNTS[sc.threads_idx]);
-        assert_engine_matches_serial(&engine, &sc.decoder(), &rxs, &format!("{sc:?}"));
+        assert_paths_match_serial(THREAD_COUNTS[sc.threads_idx], &sc.decoder(), &rxs, &format!("{sc:?}"));
     }
 }
 
 #[test]
 fn one_engine_decodes_a_parade_of_scenarios_identically() {
-    // A single long-lived engine per thread count serves heterogeneous
-    // codes and profiles back to back (the sweep deployment shape); no
+    // A single long-lived engine and service per thread count serve
+    // heterogeneous codes and profiles back to back (the sweep deployment shape); no
     // state may leak between decodes.
     for &threads in &THREAD_COUNTS {
-        let engine = DecodeEngine::new(threads);
+        let paths = Paths::new(threads);
         for seed in 0..10u64 {
             let sc = Scenario {
                 k: 2 + (seed % 3) as usize,
@@ -174,10 +218,11 @@ fn one_engine_decodes_a_parade_of_scenarios_identically() {
                 quantized: seed % 2 == 1,
                 seed: seed * 77 + 5,
             };
-            assert_engine_matches_serial(
-                &engine,
-                &sc.decoder(),
-                &[build(&sc)],
+            let (dec, rxs) = (sc.decoder(), [build(&sc)]);
+            paths.assert_match(
+                &dec,
+                &rxs,
+                &serial_decodes(&dec, &rxs),
                 &format!("seed {seed}"),
             );
         }
@@ -185,7 +230,7 @@ fn one_engine_decodes_a_parade_of_scenarios_identically() {
 }
 
 #[test]
-fn batch_and_submit_drain_match_serial_batch() {
+fn batch_and_sessions_match_serial_batch() {
     let params = CodeParams::default().with_n(96).with_b(32);
     let schedule = Schedule::new(params.num_spines(), params.tail, params.puncturing);
     let rxs: Vec<RxSymbols> = (0..9u64)
@@ -202,28 +247,16 @@ fn batch_and_submit_drain_match_serial_batch() {
             rx
         })
         .collect();
-    let dec = BubbleDecoder::new(&params);
+    let dec = Arc::new(BubbleDecoder::new(&params));
     let mut ws = DecodeWorkspace::new();
     let serial: Vec<_> = rxs
         .iter()
         .map(|rx| DecodeRequest::new(&dec, rx).workspace(&mut ws).decode())
         .collect();
+    // One caller-held workspace across the serial decodes: the
+    // reference the pooled workers' and sessions' workspaces must match.
     for &threads in &THREAD_COUNTS {
-        let engine = DecodeEngine::new(threads);
-        let batch = engine.decode_batch_parallel(&dec, &rxs);
-        assert_eq!(batch.len(), serial.len());
-        for (s, p) in serial.iter().zip(&batch) {
-            assert_bitwise_equal(s, p, &format!("batch threads {threads}"));
-        }
-        for rx in &rxs {
-            engine.submit(&dec, rx);
-        }
-        let drained = engine.drain();
-        assert_eq!(drained.len(), serial.len());
-        for (s, p) in serial.iter().zip(&drained) {
-            let p = p.as_ref().expect("clean submit decodes");
-            assert_bitwise_equal(s, p, &format!("submit/drain threads {threads}"));
-        }
+        Paths::new(threads).assert_match(&dec, &rxs, &serial, "serial batch");
     }
 }
 
@@ -254,15 +287,15 @@ fn degenerate_csi_ties_resolve_identically_at_every_thread_count() {
         .collect();
     rx.push_with_csi(&tx, &hs);
     for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
-        let dec = BubbleDecoder::new(&params).with_profile(profile);
+        let dec = Arc::new(BubbleDecoder::new(&params).with_profile(profile));
         let serial = DecodeRequest::new(&dec, &rx).decode();
         assert!(
             serial.cost.is_infinite() && serial.cost > 0.0,
             "{profile:?}"
         );
         for &threads in &THREAD_COUNTS {
-            assert_engine_matches_serial(
-                &DecodeEngine::new(threads),
+            assert_paths_match_serial(
+                threads,
                 &dec,
                 std::slice::from_ref(&rx),
                 &format!("inf-CSI {profile:?}"),
@@ -282,12 +315,12 @@ fn all_nan_observations_resolve_identically_at_every_thread_count() {
     let nan = Complex::new(f64::NAN, f64::NAN);
     rx.push(&vec![nan; 2 * params.symbols_per_pass()]);
     for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
-        let dec = BubbleDecoder::new(&params).with_profile(profile);
+        let dec = Arc::new(BubbleDecoder::new(&params).with_profile(profile));
         let serial = DecodeRequest::new(&dec, &rx).decode();
         assert!(serial.cost.is_infinite(), "{profile:?}");
         for &threads in &THREAD_COUNTS {
-            assert_engine_matches_serial(
-                &DecodeEngine::new(threads),
+            assert_paths_match_serial(
+                threads,
                 &dec,
                 std::slice::from_ref(&rx),
                 &format!("all-NaN {profile:?}"),

@@ -8,8 +8,7 @@
 //! slack the PR 3 oracle harness uses. Alongside the parity cells, the
 //! quantized profile's *determinism* contract is pinned: identical
 //! estimates and decodes through serial workspaces, the batched engine
-//! pipeline, and the streaming submit/drain path at thread counts
-//! {1, 2, 8}.
+//! pipeline, and `DecodeService` sessions at thread counts {1, 2, 8}.
 //!
 //! Trial counts scale down in debug builds (tier-1 `cargo test -q`)
 //! and up in `--release` (the CI `quant-parity` job).
@@ -134,8 +133,8 @@ fn quantized_bler_tracks_exact_within_slack_and_under_the_bound() {
 }
 
 /// The determinism half of the acceptance: quantized measurements are
-/// bit-identical across serial, batched-engine, and streaming dispatch
-/// at thread counts {1, 2, 8}.
+/// bit-identical across serial and batched-engine dispatch at thread
+/// counts {1, 2, 8}.
 #[test]
 fn quantized_estimates_are_identical_across_engine_paths() {
     let params = CodeParams::default().with_n(64).with_b(64);
@@ -161,13 +160,16 @@ fn quantized_estimates_are_identical_across_engine_paths() {
     }
 }
 
-/// Streaming submit/drain inherits the quantized profile and matches
-/// the serial decodes bit for bit at every thread count.
+/// Sessions (one per block, all submitted before any wait) and the
+/// batch path inherit the quantized profile and match the serial
+/// decodes bit for bit at every thread count.
 #[test]
-fn quantized_submit_drain_matches_serial_decodes() {
+fn quantized_sessions_and_batch_match_serial_decodes() {
     use spinal_codes::{
-        AwgnChannel, BubbleDecoder, Channel, Encoder, Message, RxSymbols, Schedule,
+        AwgnChannel, BubbleDecoder, Channel, DecodeService, Encoder, Message, RxSymbols, Schedule,
+        ServiceConfig, Session, SessionBuffer, SessionOptions,
     };
+    use std::sync::Arc;
     let params = CodeParams::default().with_n(96).with_b(32);
     let schedule = Schedule::new(params.num_spines(), params.tail, params.puncturing);
     let rxs: Vec<RxSymbols> = (0..6u64)
@@ -184,7 +186,7 @@ fn quantized_submit_drain_matches_serial_decodes() {
             rx
         })
         .collect();
-    let dec = BubbleDecoder::new(&params).with_profile(MetricProfile::Quantized);
+    let dec = Arc::new(BubbleDecoder::new(&params).with_profile(MetricProfile::Quantized));
     let mut ws = DecodeWorkspace::new();
     let serial: Vec<_> = rxs
         .iter()
@@ -195,19 +197,27 @@ fn quantized_submit_drain_matches_serial_decodes() {
         })
         .collect();
     for threads in [1usize, 2, 8] {
-        let engine = DecodeEngine::new(threads);
-        for rx in &rxs {
-            engine.submit(&dec, rx);
-        }
-        let drained = engine.drain();
-        assert_eq!(drained.len(), serial.len());
-        for (s, p) in serial.iter().zip(&drained) {
-            let p = p.as_ref().expect("clean submit decodes");
+        let svc = DecodeService::new(threads, ServiceConfig::default());
+        let mut sessions: Vec<Session> = rxs
+            .iter()
+            .map(|rx| {
+                let buffer = SessionBuffer::Symbols(rx.clone());
+                let mut session = svc
+                    .open_session(&dec, buffer, SessionOptions::default())
+                    .expect("admitted");
+                session.submit().expect("queued");
+                session
+            })
+            .collect();
+        for (s, session) in serial.iter().zip(&mut sessions) {
+            let p = session
+                .wait()
+                .expect("attempt in flight")
+                .expect("clean session decode");
             assert_eq!(s.message, p.message, "threads {threads}");
             assert_eq!(s.cost.to_bits(), p.cost.to_bits(), "threads {threads}");
         }
-        // Batch path through the same engine.
-        let batch = engine.decode_batch_parallel(&dec, &rxs);
+        let batch = DecodeEngine::new(threads).decode_batch_parallel(&dec, &rxs);
         for (s, p) in serial.iter().zip(&batch) {
             assert_eq!(s.message, p.message, "batch threads {threads}");
             assert_eq!(

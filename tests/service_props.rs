@@ -190,12 +190,11 @@ proptest! {
         prop_assert_eq!(m.completions, m.submits, "lost or duplicated completions");
         prop_assert_eq!(m.stale_completions, 0u64);
         prop_assert_eq!(m.sessions_shed, 0u64);
-        // Nothing in this workload cancels, expires, or quarantines —
-        // the hardened-lifecycle counters must stay silent.
+        // Nothing in this workload cancels or expires — the
+        // hardened-lifecycle counters must stay silent.
         prop_assert_eq!(m.attempts_cancelled, 0u64);
         prop_assert_eq!(m.attempts_deadline_expired, 0u64);
         prop_assert_eq!(m.deadline_misses, 0u64);
-        prop_assert_eq!(m.sessions_quarantined, 0u64);
         prop_assert_eq!(svc.active_sessions(), 0);
     }
 
@@ -366,52 +365,5 @@ proptest! {
         );
         prop_assert_eq!(m.stale_completions, 0u64);
         prop_assert_eq!(m.deadline_misses, 0u64, "a dropped attempt cannot also miss");
-    }
-
-    /// Quarantine: crossing the consecutive-failure threshold refuses
-    /// further submits with a structured error (counted once per
-    /// crossing), and `mark_ok` restores service with decodes still
-    /// bit-identical to serial.
-    #[test]
-    fn quarantine_gates_submits_until_marked_healthy(sc in arb_scenario()) {
-        let p = CodeParams::default().with_n(32).with_b(4);
-        let dec = Arc::new(BubbleDecoder::new(&p));
-        let threshold = sc.attempts as u32; // 1..4
-        let svc = DecodeService::new(sc.threads, ServiceConfig {
-            quarantine_after: threshold,
-            policy: POLICIES[sc.policy_idx],
-            ..ServiceConfig::default()
-        });
-        let (buf, mirror, _) = build_session(&p, &sc, 0);
-        let mut session = svc
-            .open_session(&dec, buf, SessionOptions::default())
-            .expect("admission");
-        for k in 1..=threshold {
-            prop_assert_eq!(session.mark_failed(), k);
-        }
-        prop_assert!(session.quarantined());
-        match session.submit() {
-            Err(spinal_codes::SubmitError::Quarantined { failures }) => {
-                prop_assert_eq!(failures, threshold);
-            }
-            other => prop_assert!(false, "quarantined submit returned {:?}", other),
-        }
-        session.mark_ok();
-        prop_assert!(!session.quarantined());
-        session.submit().expect("healthy session refused");
-        let got = session.wait().expect("attempt in flight").expect("clean decode");
-        let want = serial_decode(&dec, &mirror);
-        prop_assert_eq!(&got.message, &want.message, "post-quarantine decode ({:?})", sc);
-        // A second crossing counts again — the counter tracks events,
-        // not a high-water mark.
-        for _ in 0..threshold {
-            session.mark_failed();
-        }
-        drop(session);
-        let m = svc.metrics();
-        prop_assert_eq!(m.sessions_quarantined, 2u64, "crossings miscounted");
-        prop_assert_eq!(m.submits_rejected, 1u64, "quarantine refusal miscounted");
-        prop_assert_eq!(m.submits, 1u64);
-        prop_assert_eq!(m.completions, 1u64);
     }
 }
