@@ -37,11 +37,13 @@
 //! [`ScheduleOutcome::diverged`]) but never hangs the checker.
 //!
 //! The checker asserts *outcomes* per schedule — the harnesses in
-//! `tests/` run the engine's batch and shutdown paths and the decode
+//! `tests/` run the engine's batch and shutdown paths, the decode
 //! service's session paths (worker panic against `wait`; sessions and
-//! service dropped mid-flight) across hundreds to thousands of
-//! schedules, and require bit-identical `(message, cost)` and balanced
-//! service books on every one.
+//! service dropped mid-flight) and the pipelined transport receiver
+//! (attempts settled against later spans, feedback, and refused opens
+//! and submits) across hundreds to thousands of schedules, and require
+//! bit-identical `(message, cost)`, the inline receiver's outcomes, and
+//! balanced service books on every one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,10 +17,12 @@
 //!   one rateless encoder per block, one subpass per feedback round for
 //!   every unacknowledged block; nothing is ever retransmitted.
 //! * [`receiver`] — a per-block reorder buffer drained in schedule
-//!   order, permanent gaps skipped after a reordering horizon, decode
-//!   attempts at subpass boundaries through the one decode entry point
-//!   ([`spinal_core::DecodeRequest`] with workspace + incremental table
-//!   cache), CRC as the only success signal.
+//!   order, permanent gaps skipped after a reordering horizon, and
+//!   quantized-profile decode attempts at subpass boundaries, one
+//!   [`spinal_core::Session`] per block on a pooled
+//!   [`spinal_core::DecodeService`]: attempts of all ready blocks run at
+//!   once and are settled before the block takes more data or feedback
+//!   is built. CRC is the only success signal.
 //! * [`transfer`] — round-loop drivers and the [`TransferReport`] cost
 //!   accounting (symbols sent, passes, rounds, decode attempts).
 //!

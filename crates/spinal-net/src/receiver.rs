@@ -1,4 +1,4 @@
-//! The receiving side: reorder buffer, incremental decode, feedback.
+//! The receiving side: reorder buffer, pipelined decode, feedback.
 //!
 //! Datagrams arrive late, twice, or never. Per block the receiver keeps
 //! a reorder buffer keyed on the symbol `offset` each Data datagram
@@ -8,16 +8,37 @@
 //! reordering horizon is declared lost and skipped
 //! ([`RxSymbols::skip`]): the rateless stream compensates with later
 //! symbols instead of retransmission (§7.1, the decoder "need not
-//! generate the missing symbols").
+//! generate the missing symbols"). A span that starts at or past the
+//! pass budget can feed no attempt and is dropped on arrival.
 //!
 //! Decode attempts run at subpass boundaries (§5), each block through
 //! its own [`Session`] on a [`DecodeService`]: the session owns the
 //! receive buffer, the incremental table cache, a warm workspace, and
 //! the block's schedule position, so every retry folds in only the new
-//! observations. A block is done exactly when its CRC validates
-//! ([`FrameReassembly`], §6). Feedback is a cumulative ACK bitmap; it
-//! keeps flowing after completion so a sender that missed one feedback
-//! datagram still learns to stop.
+//! observations. All blocks of a transfer share one decoder with the
+//! [`MetricProfile::Quantized`] metric (its BLER is held to the exact
+//! profile's by the `quant_parity` oracle).
+//!
+//! Attempts are pipelined. A block that crosses a boundary submits its
+//! attempt and the receiver moves on, so every ready block decodes at
+//! once on the service's workers. The attempt is *settled* later —
+//! waited for, offered to the CRC, and its session closed if the CRC
+//! accepts — before the same block takes in more data, and before
+//! anything reads decode outcomes ([`SpinalReceiver::feedback`],
+//! [`complete`](SpinalReceiver::complete),
+//! [`payload`](SpinalReceiver::payload),
+//! [`blocks_decoded`](SpinalReceiver::blocks_decoded),
+//! [`partial_blocks`](SpinalReceiver::partial_blocks)). When the
+//! service refuses an `open_session` or `submit`, the receiver settles
+//! its own in-flight attempts and tries once more; settled, it holds
+//! exactly the sessions a loop that waited on every attempt would hold.
+//! So each block gets the same attempts on the same buffers as that
+//! inline loop, on any service: only wall time changes.
+//!
+//! A block is done exactly when its CRC validates ([`FrameReassembly`],
+//! §6). Feedback is a cumulative ACK bitmap; it keeps flowing after
+//! completion so a sender that missed one feedback datagram still
+//! learns to stop.
 //!
 //! A receiver holding salvaged bytes from an earlier interrupted
 //! transfer ([`SpinalReceiver::seed_salvage`]) re-seeds those blocks the
@@ -29,11 +50,12 @@
 use crate::link::Datagram;
 use crate::wire::{Packet, Payload};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeService, FrameBuilder, FrameReassembly, RxBits, RxSymbols,
-    Schedule, ServiceConfig, Session, SessionBuffer, SessionOptions,
+    BubbleDecoder, CodeParams, DecodeService, FrameBuilder, FrameReassembly, MetricProfile, RxBits,
+    RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer, SessionOptions,
 };
 use std::collections::BTreeMap;
 use std::io;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Receiver-side knobs.
@@ -162,31 +184,14 @@ impl BlockState {
 
     /// Move pending spans into the session's observation buffer in
     /// schedule order; returns true if any observations were folded in.
-    /// If the service sheds the session (admission backpressure), the
-    /// spans stay pending and the next datagram retries.
-    fn drain(
-        &mut self,
-        service: &DecodeService,
-        decoder: &Arc<BubbleDecoder>,
-        schedule: &Schedule,
-        skip_horizon: usize,
-    ) -> bool {
+    /// Without a session (admission refused) or with an attempt in
+    /// flight, the spans stay pending.
+    fn drain(&mut self, skip_horizon: usize) -> bool {
+        let Some(buf) = self.session.as_mut().and_then(Session::buffer_mut) else {
+            return false;
+        };
         let mut moved = false;
         loop {
-            // Open the session lazily, keyed on the first span's kind.
-            if self.session.is_none() {
-                let Some((_, probe)) = self.pending.first_key_value() else {
-                    break;
-                };
-                let buffer = buffer_for_payload(probe, schedule);
-                match service.open_session(decoder, buffer, SessionOptions::default()) {
-                    Ok(s) => self.session = Some(s),
-                    Err(_) => return moved, // shed: retry on a later datagram
-                }
-            }
-            let Some(buf) = self.session.as_mut().and_then(|s| s.buffer_mut()) else {
-                return moved; // attempt in flight; cannot happen on this sync path
-            };
             // In-order (or cursor-overlapping) spans first.
             while let Some((&off, _)) = self.pending.first_key_value() {
                 if off > self.cursor {
@@ -226,56 +231,6 @@ impl BlockState {
         }
         moved
     }
-
-    /// Attempt a decode if the buffer has crossed the next subpass
-    /// boundary; returns true if a decode ran. The attempt goes through
-    /// the block's session: submit, then wait on the session's own
-    /// completion handle (no cross-block interference).
-    fn try_decode(
-        &mut self,
-        boundaries: &[usize],
-        reassembly: &mut FrameReassembly,
-        block_idx: usize,
-    ) -> bool {
-        let Some(session) = self.session.as_mut() else {
-            return false;
-        };
-        let Some(buf) = session.buffer() else {
-            return false; // attempt already in flight
-        };
-        let received = buf.symbols_received();
-        let mut bidx = session.position();
-        let Some(&next_boundary) = boundaries.get(bidx) else {
-            return false; // pass budget exhausted
-        };
-        if received < next_boundary {
-            return false; // not enough new observations yet
-        }
-        // Consume every boundary the buffer has already sailed past:
-        // one attempt per drain is enough.
-        while boundaries.get(bidx).is_some_and(|&b| b <= received) {
-            bidx += 1;
-        }
-        if session.submit().is_err() {
-            // Queue backpressure: position unchanged, so the same
-            // boundary is retried on the next datagram.
-            return false;
-        }
-        session.set_position(bidx);
-        // A structured failure (worker panic / watchdog cancel) ends
-        // the attempt without a result; the session already recovered
-        // or rebuilt its resources, so the rateless loop just keeps
-        // collecting symbols and retries at the next boundary.
-        let Some(Ok(result)) = session.wait() else {
-            return false;
-        };
-        if reassembly.offer(block_idx, &result.message) {
-            self.decoded = true;
-            self.pending.clear(); // block finished; drop leftover spans
-            self.session = None; // release the admission slot
-        }
-        true
-    }
 }
 
 /// One in-progress transfer.
@@ -290,6 +245,110 @@ struct TransferState {
     datagrams_received: u32,
 }
 
+impl TransferState {
+    fn session(&mut self, idx: usize) -> Option<&mut Session> {
+        self.blocks.get_mut(idx)?.session.as_mut()
+    }
+
+    /// Settle block `idx`'s in-flight attempt, if any: wait for it,
+    /// offer the message to the CRC, and close the session (releasing
+    /// its admission slot) if the CRC accepts. A structured failure
+    /// (worker panic, watchdog cancel) ends the attempt without a
+    /// result; the session has already recovered or rebuilt its
+    /// resources, so the block keeps collecting symbols and retries at
+    /// the next boundary.
+    fn settle(&mut self, idx: usize) {
+        let Some(Ok(result)) = self.session(idx).and_then(Session::wait) else {
+            return;
+        };
+        if self.reassembly.offer(idx, &result.message) {
+            if let Some(state) = self.blocks.get_mut(idx) {
+                state.decoded = true;
+                state.pending.clear(); // block finished; drop leftover spans
+                state.session = None;
+            }
+        }
+    }
+
+    fn settle_all(&mut self) {
+        for idx in 0..self.blocks.len() {
+            self.settle(idx);
+        }
+    }
+
+    /// Open block `idx`'s session, keyed on the payload kind of its
+    /// first buffered span, unless it has one or buffers nothing. If
+    /// the service refuses, settle and try once more; if it refuses
+    /// again, the spans stay pending and a later datagram retries.
+    fn open_session(&mut self, idx: usize, service: &DecodeService, schedule: &Schedule) {
+        let admit = |t: &mut Self| {
+            let Some(state) = t.blocks.get_mut(idx).filter(|s| s.session.is_none()) else {
+                return true;
+            };
+            let Some((_, probe)) = state.pending.first_key_value() else {
+                return true;
+            };
+            let buffer = buffer_for_payload(probe, schedule);
+            match service.open_session(&t.decoder, buffer, SessionOptions::default()) {
+                Ok(s) => {
+                    state.session = Some(s);
+                    true
+                }
+                Err(_) => false,
+            }
+        };
+        if !admit(self) {
+            self.settle_all();
+            admit(self);
+        }
+    }
+
+    /// Submit block `idx`'s next attempt if its buffer has crossed the
+    /// next subpass boundary; returns true if an attempt was submitted.
+    /// A refused submit settles and tries once more; if it is refused
+    /// again, the position stays put, so the same boundary is retried
+    /// on the next datagram.
+    fn try_decode(&mut self, idx: usize) -> bool {
+        let Some((received, position)) = self
+            .session(idx)
+            .and_then(|s| Some((s.buffer()?.symbols_received(), s.position())))
+        else {
+            return false;
+        };
+        // Nothing new past the next boundary, or the pass budget is spent.
+        if self.boundaries.get(position).is_none_or(|&b| received < b) {
+            return false;
+        }
+        // Consume every boundary the buffer has already sailed past:
+        // one attempt per drain is enough.
+        let mut next = position;
+        while self.boundaries.get(next).is_some_and(|&b| b <= received) {
+            next += 1;
+        }
+        let submit = |t: &mut Self| t.session(idx).is_some_and(|s| s.submit().is_ok());
+        let submitted = submit(self) || {
+            self.settle_all();
+            submit(self)
+        };
+        if !submitted {
+            return false;
+        }
+        if let Some(s) = self.session(idx) {
+            s.set_position(next);
+        }
+        true
+    }
+}
+
+/// Worker threads for a transfer of `n_blocks` blocks on a receiver
+/// that owns its service: one per core, but no more than there are
+/// blocks, so a one-block transfer decodes inline and a short one does
+/// not pay to spawn workers it cannot use.
+fn pool_threads(n_blocks: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    cores.min(n_blocks).max(1)
+}
+
 /// Rateless receiver (see the module docs). Construct once with the
 /// agreed code parameters; transfer geometry (length, block count)
 /// arrives in the Init datagram.
@@ -298,6 +357,9 @@ pub struct SpinalReceiver {
     schedule: Schedule,
     cfg: ReceiverConfig,
     service: DecodeService,
+    /// True when `service` is this receiver's own, resized per Init
+    /// ([`SpinalReceiver::new`]); a caller's service is never replaced.
+    owns_service: bool,
     transfer: Option<TransferState>,
     decode_attempts: usize,
     reorder_evictions: u64,
@@ -309,15 +371,21 @@ pub struct SpinalReceiver {
 
 impl SpinalReceiver {
     /// Create a receiver for links whose sender uses `params`, with a
-    /// private single-threaded [`DecodeService`] (every decode attempt
-    /// runs inline — the zero-dependency default).
+    /// private [`DecodeService`] sized on every Init: one worker per
+    /// core, up to one per block. It starts with one thread, which runs
+    /// every attempt inline at submit, and a one-block transfer keeps
+    /// it that way.
     pub fn new(params: &CodeParams, cfg: ReceiverConfig) -> Self {
-        Self::with_service(params, cfg, DecodeService::new(1, ServiceConfig::default()))
+        let mut receiver =
+            Self::with_service(params, cfg, DecodeService::new(1, ServiceConfig::default()));
+        receiver.owns_service = true;
+        receiver
     }
 
     /// Create a receiver whose block sessions run on `service` — share
     /// one service (and its engine, queue, and metrics) across many
-    /// receivers to get the many-session operating shape.
+    /// receivers to get the many-session operating shape. The receiver
+    /// keeps `service` for its whole life.
     pub fn with_service(params: &CodeParams, cfg: ReceiverConfig, service: DecodeService) -> Self {
         assert!(cfg.max_passes >= 1, "max_passes must be at least 1");
         assert!(cfg.skip_horizon >= 1, "skip_horizon must be at least 1");
@@ -326,6 +394,7 @@ impl SpinalReceiver {
             schedule: Schedule::new(params.num_spines(), params.tail, params.puncturing),
             cfg,
             service,
+            owns_service: false,
             transfer: None,
             decode_attempts: 0,
             reorder_evictions: 0,
@@ -345,7 +414,9 @@ impl SpinalReceiver {
         self.salvage = Some((transfer_id, blocks));
     }
 
-    /// The decode service backing this receiver's block sessions.
+    /// The decode service backing this receiver's block sessions (for a
+    /// receiver made by [`SpinalReceiver::new`], the one sized at the
+    /// latest Init).
     pub fn service(&self) -> &DecodeService {
         &self.service
     }
@@ -402,6 +473,17 @@ impl SpinalReceiver {
                 return; // duplicate Init for the active transfer
             }
         }
+        // A new transfer replaces the active one; settle its attempts so
+        // none completes stale.
+        if let Some(mut old) = self.transfer.take() {
+            old.settle_all();
+        }
+        if self.owns_service {
+            let threads = pool_threads(usize::from(n_blocks));
+            if threads != self.service.threads() {
+                self.service = DecodeService::new(threads, ServiceConfig::default());
+            }
+        }
         let builder = FrameBuilder::new(self.params.n);
         let mut t = TransferState {
             transfer_id,
@@ -412,7 +494,9 @@ impl SpinalReceiver {
                 payload_len as usize,
             ),
             blocks: (0..n_blocks).map(|_| BlockState::new()).collect(),
-            decoder: Arc::new(BubbleDecoder::new(&self.params)),
+            decoder: Arc::new(
+                BubbleDecoder::new(&self.params).with_profile(MetricProfile::Quantized),
+            ),
             boundaries: self
                 .schedule
                 .subpass_boundaries(self.cfg.max_passes * self.schedule.symbols_per_pass()),
@@ -456,11 +540,24 @@ impl SpinalReceiver {
         if t.transfer_id != transfer_id {
             return;
         }
-        let Some(state) = t.blocks.get_mut(block as usize) else {
+        let idx = usize::from(block);
+        if idx >= t.blocks.len() {
+            return;
+        }
+        t.datagrams_received += 1;
+        // A span at or past the pass budget can feed no attempt; buffered,
+        // it would only make the gap skip step the schedule cursor once
+        // per missing symbol, up to 2^32 times.
+        let budget = t.boundaries.last().copied().unwrap_or(0);
+        if payload.is_empty() || offset as usize >= budget {
+            return;
+        }
+        // The block's in-flight attempt may have decoded it.
+        t.settle(idx);
+        let Some(state) = t.blocks.get_mut(idx) else {
             return;
         };
-        t.datagrams_received += 1;
-        if state.decoded || payload.is_empty() {
+        if state.decoded {
             return;
         }
         // Stash the span unless it is entirely behind the cursor (a
@@ -469,20 +566,27 @@ impl SpinalReceiver {
         if offset as usize + payload.len() > state.cursor as usize {
             self.reorder_evictions += state.stash(offset, payload, self.cfg.max_pending_spans);
         }
-        if state.drain(
-            &self.service,
-            &t.decoder,
-            &self.schedule,
-            self.cfg.skip_horizon,
-        ) && state.try_decode(&t.boundaries, &mut t.reassembly, block as usize)
+        t.open_session(idx, &self.service, &self.schedule);
+        if t.blocks
+            .get_mut(idx)
+            .is_some_and(|state| state.drain(self.cfg.skip_horizon))
+            && t.try_decode(idx)
         {
             self.decode_attempts += 1;
         }
     }
 
+    /// The active transfer, with every in-flight attempt settled.
+    fn settled(&mut self) -> Option<&TransferState> {
+        let t = self.transfer.as_mut()?;
+        t.settle_all();
+        Some(t)
+    }
+
     /// The cumulative feedback datagram for the active transfer, if any.
-    pub fn feedback(&self) -> Option<Packet> {
-        let t = self.transfer.as_ref()?;
+    /// Settles every in-flight attempt first.
+    pub fn feedback(&mut self) -> Option<Packet> {
+        let t = self.settled()?;
         Some(Packet::Feedback {
             transfer_id: t.transfer_id,
             received: t.datagrams_received,
@@ -491,21 +595,20 @@ impl SpinalReceiver {
     }
 
     /// True once every block of the active transfer has decoded.
-    pub fn complete(&self) -> bool {
-        self.transfer
-            .as_ref()
-            .is_some_and(|t| t.reassembly.complete())
+    /// Settles every in-flight attempt first.
+    pub fn complete(&mut self) -> bool {
+        self.settled().is_some_and(|t| t.reassembly.complete())
     }
 
     /// The delivered payload, once [`SpinalReceiver::complete`].
-    pub fn payload(&self) -> Option<Vec<u8>> {
-        self.transfer
-            .as_ref()
+    /// Settles every in-flight attempt first.
+    pub fn payload(&mut self) -> Option<Vec<u8>> {
+        self.settled()
             .and_then(|t| t.reassembly.clone().into_datagram())
     }
 
-    /// Decode attempts run so far (across all blocks) — the receiver's
-    /// compute-cost counter.
+    /// Decode attempts submitted so far (across all blocks) — the
+    /// receiver's compute-cost counter.
     pub fn decode_attempts(&self) -> usize {
         self.decode_attempts
     }
@@ -524,7 +627,9 @@ impl SpinalReceiver {
     }
 
     /// Out-of-order spans currently buffered across all blocks; bounded
-    /// by `n_blocks × max_pending_spans` by construction.
+    /// by `n_blocks × max_pending_spans` by construction. A block whose
+    /// in-flight attempt decodes drops its spans when that attempt is
+    /// settled.
     pub fn pending_spans(&self) -> usize {
         self.transfer
             .as_ref()
@@ -532,12 +637,10 @@ impl SpinalReceiver {
             .unwrap_or(0)
     }
 
-    /// Blocks whose CRC has validated so far.
-    pub fn blocks_decoded(&self) -> usize {
-        self.transfer
-            .as_ref()
-            .map(|t| t.reassembly.blocks_decoded())
-            .unwrap_or(0)
+    /// Blocks whose CRC has validated so far. Settles every in-flight
+    /// attempt first.
+    pub fn blocks_decoded(&mut self) -> usize {
+        self.settled().map_or(0, |t| t.reassembly.blocks_decoded())
     }
 
     /// Blocks in the active transfer (0 before Init arrives).
@@ -550,10 +653,9 @@ impl SpinalReceiver {
 
     /// The CRC-accepted payload bytes per block (`None` = missing) —
     /// what a caller salvages when the transfer ends degraded. Empty
-    /// before Init arrives.
-    pub fn partial_blocks(&self) -> Vec<Option<Vec<u8>>> {
-        self.transfer
-            .as_ref()
+    /// before Init arrives. Settles every in-flight attempt first.
+    pub fn partial_blocks(&mut self) -> Vec<Option<Vec<u8>>> {
+        self.settled()
             .map(|t| t.reassembly.block_payloads())
             .unwrap_or_default()
     }
@@ -717,6 +819,30 @@ mod tests {
         assert_eq!(r.reorder_evictions(), (n_far - 4) as u64);
         assert_eq!(r.blocks_decoded(), 0);
         assert!(r.partial_blocks().iter().all(|b| b.is_none()));
+    }
+
+    #[test]
+    fn span_past_the_pass_budget_is_dropped_and_the_block_still_decodes() {
+        let p = params();
+        let payload = b"budget";
+        let msg = FrameBuilder::new(p.n).build(payload).remove(0);
+        let cfg = ReceiverConfig::default();
+        let spp = Schedule::new(p.num_spines(), p.tail, p.puncturing).symbols_per_pass();
+        let budget = (cfg.max_passes * spp) as u32;
+        let hostile = spans(&p, &msg, 8, 8).remove(0).1;
+        for offset in [budget, u32::MAX - 200] {
+            let mut r = SpinalReceiver::new(&p, cfg);
+            r.handle(init_pkt(1, payload.len() as u32));
+            // A span no attempt can reach arrives first; skipping the gap
+            // up to it would stall the receiver and ruin the block.
+            r.handle(data_pkt(0, offset, hostile.clone()));
+            for (off, span) in spans(&p, &msg, 3 * spp, 7) {
+                r.handle(data_pkt(0, off, span));
+            }
+            assert!(r.complete(), "offset {offset}: clean stream must decode");
+            assert_eq!(r.payload().unwrap(), payload.to_vec());
+            assert_eq!(r.pending_spans(), 0, "offset {offset}");
+        }
     }
 
     #[test]

@@ -333,7 +333,7 @@ fn is_transient_io(kind: io::ErrorKind) -> bool {
 /// The terminal outcome for a transfer that stopped for `stop`:
 /// full delivery and degraded (some-blocks) delivery both salvage from
 /// the receiver; a zero-block ending maps onto the matching variant.
-fn salvage_outcome(receiver: &SpinalReceiver, stop: StopCause) -> TransferOutcome {
+fn salvage_outcome(receiver: &mut SpinalReceiver, stop: StopCause) -> TransferOutcome {
     if let Some(p) = receiver.payload() {
         return TransferOutcome::Delivered(p);
     }
@@ -360,7 +360,7 @@ fn salvage_outcome(receiver: &SpinalReceiver, stop: StopCause) -> TransferOutcom
 fn build_report(
     outcome: TransferOutcome,
     sender: &SpinalSender,
-    receiver: &SpinalReceiver,
+    receiver: &mut SpinalReceiver,
     rounds: usize,
     transient_io_errors: usize,
 ) -> TransferReport {
@@ -487,13 +487,13 @@ fn drive_transfer<A: Datagram, B: Datagram>(
                 Err(err) if is_transient_io(err.kind()) => {
                     transient_io_errors += 1;
                     if transient_io_errors > cfg.io_retry_budget {
-                        let outcome = salvage_outcome(&receiver, StopCause::IoError);
+                        let outcome = salvage_outcome(receiver, StopCause::IoError);
                         return Err(TransferError {
                             kind: TransferErrorKind::RetryBudgetExhausted,
                             report: Box::new(build_report(
                                 outcome,
-                                &sender,
-                                &receiver,
+                                sender,
+                                receiver,
                                 rounds,
                                 transient_io_errors,
                             )),
@@ -501,13 +501,13 @@ fn drive_transfer<A: Datagram, B: Datagram>(
                     }
                 }
                 Err(err) => {
-                    let outcome = salvage_outcome(&receiver, StopCause::IoError);
+                    let outcome = salvage_outcome(receiver, StopCause::IoError);
                     return Err(TransferError {
                         kind: TransferErrorKind::Fatal(err),
                         report: Box::new(build_report(
                             outcome,
-                            &sender,
-                            &receiver,
+                            sender,
+                            receiver,
                             rounds,
                             transient_io_errors,
                         )),
@@ -579,6 +579,7 @@ mod tests {
     use super::*;
     use crate::chaos::{ChaosLink, FaultPlan};
     use crate::sender::Modulation;
+    use spinal_core::{DecodeService, Puncturing, ServiceConfig};
 
     fn params() -> CodeParams {
         CodeParams::default().with_n(64).with_b(32)
@@ -1100,6 +1101,151 @@ mod tests {
         let report = run_transfer(&mut tx, &mut rx, &p, payload, 1, TransferConfig::default())
             .expect("transients within budget");
         assert_eq!(report.payload(), Some(&payload[..]));
+    }
+
+    /// `drive_transfer`'s rounds on a one-thread service, with every
+    /// decode attempt settled before the receiver handles the next
+    /// datagram: the inline receiver loop (submit, wait, offer to the
+    /// CRC) that the pipelined receiver must reproduce.
+    fn inline_transfer(
+        p: &CodeParams,
+        payload: &[u8],
+        cfg: TransferConfig,
+        svc_cfg: ServiceConfig,
+        (mut tx, mut rx): (LoopbackLink, LoopbackLink),
+    ) -> TransferReport {
+        const LOOPBACK: &str = "loopback I/O cannot fail";
+        let mut sender = SpinalSender::new(p, payload, 1, cfg.sender());
+        let service = DecodeService::new(1, svc_cfg);
+        let mut receiver = SpinalReceiver::with_service(p, cfg.receiver(), service);
+        let mut pump = |receiver: &mut SpinalReceiver| {
+            while let Some(buf) = rx.recv().expect(LOOPBACK) {
+                if let Some(pkt) = crate::wire::Packet::decode(&buf) {
+                    receiver.handle(pkt);
+                    receiver.blocks_decoded(); // settles the attempt
+                }
+            }
+            if let Some(fb) = receiver.feedback() {
+                rx.send(&fb.encode()).expect(LOOPBACK);
+            }
+        };
+        let mut rounds = 0;
+        while rounds < cfg.max_rounds {
+            rounds += 1;
+            sender.poll(&mut tx).expect(LOOPBACK);
+            pump(&mut receiver);
+            if sender.complete() {
+                break;
+            }
+            if sender.exhausted() && !receiver.complete() {
+                sender.drain_feedback(&mut tx).expect(LOOPBACK);
+                break;
+            }
+        }
+        pump(&mut receiver);
+        sender.drain_feedback(&mut tx).expect(LOOPBACK);
+        let stop = if sender.exhausted() {
+            StopCause::PassBudget
+        } else {
+            StopCause::RoundBudget
+        };
+        let outcome = salvage_outcome(&mut receiver, stop);
+        build_report(outcome, &sender, &mut receiver, rounds, 0)
+    }
+
+    /// The pipelined receiver's contract: on any pool width and any
+    /// service configuration, each block gets the inline loop's attempts
+    /// on the inline loop's buffers, so the whole report matches. Two
+    /// tight configurations force the refuse, settle and retry paths:
+    /// two sessions for five blocks refuses `open_session`, and one
+    /// attempt running with a one-deep queue refuses `submit`.
+    #[test]
+    fn pooled_receivers_report_exactly_what_the_inline_loop_does() {
+        const SEEDS: u64 = if cfg!(debug_assertions) { 2 } else { 30 };
+        let punctured = CodeParams::default().with_n(64).with_b(16);
+        let unpunctured = CodeParams {
+            puncturing: Puncturing::none(),
+            ..punctured.clone()
+        };
+        let channels = [
+            (NoiseModel::Awgn { snr_db: 4.0 }, Modulation::Symbols),
+            (NoiseModel::Awgn { snr_db: 10.0 }, Modulation::Symbols),
+            (NoiseModel::Awgn { snr_db: 20.0 }, Modulation::Symbols),
+            (
+                NoiseModel::Rayleigh {
+                    snr_db: 12.0,
+                    tau: 8,
+                },
+                Modulation::Symbols,
+            ),
+            (NoiseModel::Bsc { flip_p: 0.03 }, Modulation::Bits),
+        ];
+        let lossy = Impairments {
+            loss: 0.1,
+            dup: 0.05,
+            reorder: 0.1,
+            reorder_span: 3,
+        };
+        let few_sessions = ServiceConfig {
+            max_sessions: 2,
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        };
+        let short_queue = ServiceConfig {
+            queue_capacity: 1,
+            max_inflight: 1,
+            ..ServiceConfig::default()
+        };
+        let payload: Vec<u8> = (0u8..30).collect(); // 5 blocks of 6 bytes
+        let (mut attempts, mut shed, mut rejected) = (0, 0, 0);
+        for p in [&punctured, &unpunctured] {
+            for (noise, modulation) in channels {
+                let cfg = TransferConfig {
+                    modulation,
+                    max_passes: 12,
+                    max_rounds: 120,
+                    ..TransferConfig::default()
+                };
+                for seed in 0..SEEDS {
+                    let link = || LoopbackLink::pair(noise, lossy, lossy, seed);
+                    let ctx = format!("{:?} {noise:?} seed {seed}", p.puncturing);
+                    for svc_cfg in [ServiceConfig::default(), few_sessions, short_queue] {
+                        let inline = inline_transfer(p, &payload, cfg, svc_cfg, link());
+                        attempts += inline.decode_attempts;
+                        for threads in [1, 2, 3] {
+                            let svc = DecodeService::new(threads, svc_cfg);
+                            let mut receiver =
+                                SpinalReceiver::with_service(p, cfg.receiver(), svc.clone());
+                            let mut sender = SpinalSender::new(p, &payload, 1, cfg.sender());
+                            let (mut tx, mut rx) = link();
+                            let pooled =
+                                drive_transfer(&mut sender, &mut receiver, &mut tx, &mut rx, cfg)
+                                    .expect("loopback I/O cannot fail");
+                            let ctx = format!("{ctx}: {threads} threads, {svc_cfg:?}");
+                            assert_eq!(pooled, inline, "{ctx}");
+                            let m = svc.metrics();
+                            assert_eq!(m.submits, m.completions, "{ctx}: attempt left in flight");
+                            assert_eq!(m.stale_completions, 0, "{ctx}");
+                            shed += m.sessions_shed;
+                            rejected += m.submits_rejected;
+                        }
+                    }
+                    let (mut tx, mut rx) = link();
+                    let own = run_transfer(&mut tx, &mut rx, p, &payload, 1, cfg)
+                        .expect("loopback I/O cannot fail");
+                    let inline =
+                        inline_transfer(p, &payload, cfg, ServiceConfig::default(), link());
+                    assert_eq!(own, inline, "{ctx}: run_transfer's own receiver");
+                }
+            }
+        }
+        eprintln!(
+            "pooled = inline: {attempts} inline attempts matched; \
+             {shed} sessions shed, {rejected} submits rejected"
+        );
+        assert!(attempts > 0);
+        assert!(shed > 0, "open_session was never refused");
+        assert!(rejected > 0, "submit was never refused");
     }
 
     #[test]
