@@ -1,19 +1,17 @@
 //! Many-session traffic generator for the `spinal-core` decode service:
-//! seeded Poisson arrivals, a mixed n/B/SNR workload, per-session retry
-//! at pass boundaries, and a sustained sessions/s figure.
+//! a mixed n/B/SNR workload held at a target concurrency, per-session
+//! retry at pass boundaries, and a sustained sessions/s figure.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin traffic_gen -- \
 //!     [--sessions 600] [--concurrent 500] [--threads N] [--seed 7] \
-//!     [--policy fifo|deadline|cost] [--max-passes 8] \
-//!     [--p99-ceiling-us 5000000] [--json /tmp/service.json]
+//!     [--max-passes 8] [--p99-ceiling-us 5000000] [--json /tmp/service.json]
 //! ```
 //!
-//! The run is deterministic for a given seed and thread count: arrivals
-//! come from a seeded exponential stream, every channel is seeded per
-//! session, and the decode results themselves are bit-exact at every
-//! thread count (the engine contract). The process exits non-zero if
-//! any accounting invariant breaks:
+//! The run is deterministic for a given seed and thread count: every
+//! channel is seeded per session, and the decode results themselves are
+//! bit-exact at every thread count (the engine contract). The process
+//! exits non-zero if any accounting invariant breaks:
 //!
 //! * every opened session reaches a terminal state (zero lost),
 //! * every submitted attempt completes exactly once (no duplicated or
@@ -27,12 +25,10 @@
 //! `bench_guard --mode sessions`.
 
 use bench::{die, Args};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use spinal_channel::{AwgnChannel, Channel};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeService, Encoder, Message, RxSymbols, Schedule,
-    SchedulePolicy, ServiceConfig, Session, SessionBuffer, SessionOptions,
+    BubbleDecoder, CodeParams, DecodeService, Encoder, Message, RxSymbols, Schedule, ServiceConfig,
+    Session, SessionBuffer, SessionOptions,
 };
 use std::collections::VecDeque;
 use std::io::Write;
@@ -57,17 +53,6 @@ struct Active {
     passes: usize,
 }
 
-fn policy_from(args: &Args) -> SchedulePolicy {
-    match args.str("policy", "fifo").as_str() {
-        "fifo" => SchedulePolicy::Fifo,
-        "deadline" => SchedulePolicy::OldestDeadlineFirst,
-        "cost" => SchedulePolicy::CostSoFar,
-        other => die(format!(
-            "invalid value for --policy: '{other}' (expected 'fifo', 'deadline', or 'cost')"
-        )),
-    }
-}
-
 fn main() {
     let args = Args::parse();
     let sessions = args.usize("sessions", 600);
@@ -76,7 +61,6 @@ fn main() {
     let seed = args.usize("seed", 7) as u64;
     let max_passes = args.usize("max-passes", 8).max(1);
     let p99_ceiling_us = args.usize("p99-ceiling-us", 5_000_000) as u64;
-    let policy = policy_from(&args);
     let json_path = {
         let cli = args.str("json", "");
         if cli.is_empty() {
@@ -108,24 +92,8 @@ fn main() {
             max_sessions: concurrent,
             queue_capacity: concurrent.max(16),
             max_inflight: 0,
-            policy,
-            ..ServiceConfig::default()
         },
     );
-
-    // Seeded Poisson arrival stream: exponential inter-arrival times at
-    // a rate that keeps the target concurrency saturated. Arrival times
-    // double as OldestDeadlineFirst deadlines (µs of virtual time).
-    let mut rng = StdRng::seed_from_u64(seed);
-    let lambda = concurrent as f64; // arrivals per unit virtual time
-    let mut t = 0.0f64;
-    let arrivals: Vec<f64> = (0..sessions)
-        .map(|_| {
-            let u: f64 = rng.gen::<f64>().max(1e-12);
-            t += -u.ln() / lambda;
-            t
-        })
-        .collect();
 
     let clones_before = BubbleDecoder::clones_total();
     let started = Instant::now();
@@ -135,7 +103,7 @@ fn main() {
     let mut active: VecDeque<Active> = VecDeque::new();
 
     while completed + failed < sessions {
-        // Admit arrivals while concurrency slots are free.
+        // Open sessions while concurrency slots are free.
         while opened < sessions && active.len() < concurrent {
             let mix_idx = (opened * 7 + seed as usize) % mixes.len();
             let mix = &mixes[mix_idx];
@@ -155,15 +123,12 @@ fn main() {
             let spp = mix.params.symbols_per_pass();
             let mut rx = RxSymbols::new(schedule);
             rx.push(&channel.transmit(&encoder.next_symbols(2 * spp)));
-            let opts = SessionOptions {
-                deadline: (arrivals[opened] * 1e6) as u64,
-                ..SessionOptions::default()
-            };
-            let mut session = match svc.open_session(&mix.decoder, SessionBuffer::Symbols(rx), opts)
-            {
-                Ok(s) => s,
-                Err(e) => die(format!("admission failed at session {opened}: {e}")),
-            };
+            let buffer = SessionBuffer::Symbols(rx);
+            let mut session =
+                match svc.open_session(&mix.decoder, buffer, SessionOptions::default()) {
+                    Ok(s) => s,
+                    Err(e) => die(format!("admission failed at session {opened}: {e}")),
+                };
             if let Err(e) = session.submit() {
                 die(format!("submit failed at session {opened}: {e}"));
             }
@@ -217,7 +182,7 @@ fn main() {
     };
     let decoder_clones = BubbleDecoder::clones_total() - clones_before;
 
-    println!("# traffic_gen: {sessions} sessions, target concurrency {concurrent}, {threads} thread(s), seed {seed}, policy {policy:?}");
+    println!("# traffic_gen: {sessions} sessions, target concurrency {concurrent}, {threads} thread(s), seed {seed}");
     println!(
         "completed,failed,peak_active,submits,completions,stale,retries,p50_us,p99_us,sessions_per_sec"
     );
@@ -260,21 +225,6 @@ fn main() {
     }
     if m.sessions_shed != 0 {
         bad.push(format!("{} sessions shed", m.sessions_shed));
-    }
-    // This workload never cancels and never sets a wall deadline — the
-    // hardened-lifecycle counters must all stay at zero or the service
-    // is misattributing attempts.
-    if m.attempts_cancelled != 0 {
-        bad.push(format!("{} attempts cancelled", m.attempts_cancelled));
-    }
-    if m.attempts_deadline_expired != 0 {
-        bad.push(format!(
-            "{} attempts expired at a wall deadline nobody set",
-            m.attempts_deadline_expired
-        ));
-    }
-    if m.deadline_misses != 0 {
-        bad.push(format!("{} deadline misses", m.deadline_misses));
     }
     let expected_peak = concurrent.min(sessions);
     if m.peak_active < expected_peak {

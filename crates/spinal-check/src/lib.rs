@@ -39,7 +39,8 @@
 //! The checker asserts *outcomes* per schedule — the harnesses in
 //! `tests/` run the engine's batch and shutdown paths, the decode
 //! service's session paths (worker panic against `wait`; sessions and
-//! service dropped mid-flight) and the pipelined transport receiver
+//! service dropped mid-flight — every race the FIFO service has, so
+//! each has a harness) and the pipelined transport receiver
 //! (attempts settled against later spans, feedback, and refused opens
 //! and submits) across hundreds to thousands of schedules, and require
 //! bit-identical `(message, cost)`, the inline receiver's outcomes, and

@@ -617,9 +617,6 @@ struct BeamScratch<'a, C: CostKind> {
     arena: &'a mut Vec<(u32, u32)>,
     tree_roots: &'a mut Vec<u32>,
     sel_scratch: &'a mut Vec<u32>,
-    /// The workspace's heartbeat, ticked once per beam step so the
-    /// engine's stuck-attempt watchdog sees progress on long decodes.
-    hb: Option<&'a std::sync::atomic::AtomicU64>,
 }
 
 /// The serial beam search, shared by every profile and table source.
@@ -654,9 +651,6 @@ fn beam_search<C: CostKind, S: MetricSource<C>>(
     // (d−1)·k.
     let shift = ((d - 1) * k) as u32;
     for i in 1..=(ns + 1 - d) {
-        if let Some(hb) = sc.hb {
-            hb.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
         let metric = src.step(i + d - 2);
         sc.fr.expand(p.hash, k, &metric);
 
@@ -718,10 +712,6 @@ pub struct DecodeWorkspace {
     // Second RNG-word buffer for the specialised quantized d=1 kernel
     // (observations are consumed in fused pairs).
     qwords2: Vec<u32>,
-    // Progress heartbeat shared with the engine's stuck-attempt
-    // watchdog: every beam step bumps it, so a slow-but-progressing
-    // decode is never mistaken for a wedged one.
-    hb: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
 }
 
 impl DecodeWorkspace {
@@ -729,24 +719,6 @@ impl DecodeWorkspace {
     /// decode that uses it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attach a progress heartbeat: every beam step of every decode run
-    /// through this workspace bumps the counter. The engine's worker
-    /// pool uses this to feed its stuck-attempt watchdog.
-    pub fn set_heartbeat(&mut self, hb: std::sync::Arc<std::sync::atomic::AtomicU64>) {
-        self.hb = Some(hb);
-    }
-
-    /// Detach the heartbeat (a workspace moving between execution
-    /// contexts must not keep ticking a previous worker's counter).
-    pub fn clear_heartbeat(&mut self) {
-        self.hb = None;
-    }
-
-    /// A handle to the attached heartbeat counter, if any.
-    pub fn heartbeat(&self) -> Option<std::sync::Arc<std::sync::atomic::AtomicU64>> {
-        self.hb.clone()
     }
 }
 
@@ -892,7 +864,6 @@ impl BubbleDecoder {
                     arena,
                     tree_roots,
                     sel_scratch,
-                    hb,
                     ..
                 } = ws;
                 let mut src = BitsSource { rx };
@@ -905,7 +876,6 @@ impl BubbleDecoder {
                     arena,
                     tree_roots,
                     sel_scratch,
-                    hb: hb.as_deref(),
                 };
                 let (cost, tree, path) = beam_search(&self.params, &mut src, &mut sc);
                 self.finish::<f64>(cost, tree, path, sc.arena, sc.tree_roots, (1.0, 0.0))
@@ -949,7 +919,6 @@ impl BubbleDecoder {
                     arena,
                     tree_roots,
                     sel_scratch,
-                    hb,
                     ..
                 } = ws;
                 let mut sc = BeamScratch {
@@ -961,7 +930,6 @@ impl BubbleDecoder {
                     arena,
                     tree_roots,
                     sel_scratch,
-                    hb: hb.as_deref(),
                 };
                 let (cost, tree, path) = beam_search(&self.params, &mut src, &mut sc);
                 self.finish::<f64>(cost, tree, path, sc.arena, sc.tree_roots, (1.0, 0.0))
@@ -988,7 +956,6 @@ impl BubbleDecoder {
             arena,
             tree_roots,
             sel_scratch,
-            hb,
             ..
         } = ws;
         let mut src = PerStepSymbols {
@@ -1009,7 +976,6 @@ impl BubbleDecoder {
             arena,
             tree_roots,
             sel_scratch,
-            hb: hb.as_deref(),
         };
         let (cost, tree, path) = beam_search(&self.params, &mut src, &mut sc);
         self.finish::<f64>(cost, tree, path, sc.arena, sc.tree_roots, (1.0, 0.0))
@@ -1032,7 +998,6 @@ impl BubbleDecoder {
             arena,
             tree_roots,
             sel_scratch,
-            hb,
             ..
         } = ws;
         let mut src = PreparedSymbols::<u32> {
@@ -1052,7 +1017,6 @@ impl BubbleDecoder {
             arena,
             tree_roots,
             sel_scratch,
-            hb: hb.as_deref(),
         };
         let (cost, tree, path) = beam_search(&self.params, &mut src, &mut sc);
         self.finish::<u32>(cost, tree, path, sc.arena, sc.tree_roots, quant.dequant())
@@ -1091,10 +1055,8 @@ impl BubbleDecoder {
             new_roots,
             qwords2,
             sel_scratch,
-            hb,
             ..
         } = ws;
-        let hb = hb.as_deref();
 
         arena.clear();
         tree_roots.clear();
@@ -1114,9 +1076,6 @@ impl BubbleDecoder {
         let plain_adds = !quant.has_inf && quant.rngs.len() < (1 << 16);
 
         for spine in 0..ns {
-            if let Some(hb) = hb {
-                hb.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
             let f = qfr.states.len();
             let ef = f << k;
 
@@ -1401,7 +1360,6 @@ impl BubbleDecoder {
             arena,
             tree_roots,
             sel_scratch,
-            hb,
             ..
         } = ws;
         let mut sc = BeamScratch {
@@ -1413,7 +1371,6 @@ impl BubbleDecoder {
             arena,
             tree_roots,
             sel_scratch,
-            hb: hb.as_deref(),
         };
         let (cost, tree, path) = beam_search(&self.params, src, &mut sc);
         self.finish::<u32>(cost, tree, path, sc.arena, sc.tree_roots, dequant)

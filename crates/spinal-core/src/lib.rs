@@ -95,7 +95,7 @@ pub use bits::Message;
 pub use constellation::{Constellation, MappingKind};
 pub use decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
 pub use encoder::Encoder;
-pub use engine::{DecodeEngine, DecodeFailure, EngineStats, WatchdogConfig, WatchdogPolicy};
+pub use engine::{DecodeEngine, DecodeFailure, EngineStats};
 pub use framing::{crc16, FrameBuilder, FrameReassembly, CRC_BITS};
 pub use hash::HashKind;
 pub use ml::MlDecoder;
@@ -105,8 +105,8 @@ pub use quant::MetricProfile;
 pub use rx::{RxBits, RxEntry, RxSymbols};
 pub use sequential::{StackDecoder, StackResult};
 pub use service::{
-    AdmitError, BreakerConfig, BreakerScope, BrownoutConfig, DecodeService, MetricsSnapshot,
-    SchedulePolicy, ServiceConfig, Session, SessionBuffer, SessionOptions, SubmitError,
+    AdmitError, DecodeService, MetricsSnapshot, ServiceConfig, Session, SessionBuffer,
+    SessionOptions, SubmitError,
 };
 pub use symbols::SymbolGen;
 pub use tables::TableCache;

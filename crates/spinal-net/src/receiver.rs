@@ -252,11 +252,10 @@ impl TransferState {
 
     /// Settle block `idx`'s in-flight attempt, if any: wait for it,
     /// offer the message to the CRC, and close the session (releasing
-    /// its admission slot) if the CRC accepts. A structured failure
-    /// (worker panic, watchdog cancel) ends the attempt without a
-    /// result; the session has already recovered or rebuilt its
-    /// resources, so the block keeps collecting symbols and retries at
-    /// the next boundary.
+    /// its admission slot) if the CRC accepts. A structured failure (a
+    /// worker panic) ends the attempt without a result; the session has
+    /// already recovered its resources, so the block keeps collecting
+    /// symbols and retries at the next boundary.
     fn settle(&mut self, idx: usize) {
         let Some(Ok(result)) = self.session(idx).and_then(Session::wait) else {
             return;

@@ -40,7 +40,7 @@ pub use spinal_channel::{
 pub use spinal_core::{
     AdmitError, BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeService,
     DecodeWorkspace, Encoder, FrameBuilder, HashKind, MappingKind, Message, MetricsSnapshot,
-    Puncturing, RxBits, RxObservations, RxSymbols, Schedule, SchedulePolicy, ServiceConfig,
-    Session, SessionBuffer, SessionOptions, SubmitError,
+    Puncturing, RxBits, RxObservations, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer,
+    SessionOptions, SubmitError,
 };
 pub use spinal_sim::{LinkChannel, SpinalRun, Threads};

@@ -1,6 +1,6 @@
 //! Property tests for the many-session decode service: for arbitrary
-//! (code, channel, session count, thread budget, queue capacity,
-//! scheduling policy) the service must
+//! (code, channel, session count, thread budget, queue capacity) the
+//! FIFO service must
 //!
 //! * return every session's decode **bit-identical** to the serial
 //!   decode of the same buffer, at every thread count;
@@ -9,19 +9,23 @@
 //! * exert backpressure through `Err(QueueFull)` — a structured,
 //!   prompt refusal — never by blocking the caller (a deadlock here
 //!   hangs the test; proptest's timeout is the detector);
-//! * keep its books balanced: completions = submits, nothing stale,
-//!   nothing lost, after every session reaches a terminal state.
+//! * keep its books balanced: `submits == completions + attempts_failed`,
+//!   nothing stale, nothing lost, after every session reaches a terminal
+//!   state.
+//!
+//! The service's two concurrent races — a worker panic against `wait`,
+//! and a dropped session or service against completion — each have a
+//! deterministic-schedule harness in `spinal-check`'s
+//! `model_check_service.rs`.
 
 use proptest::prelude::*;
 use spinal_codes::channel::BitChannel;
 use spinal_codes::core::{DecodeRequest, DecodeResult};
 use spinal_codes::{
     AwgnChannel, BscChannel, BubbleDecoder, Channel, CodeParams, DecodeService, Encoder, Message,
-    RxBits, RxSymbols, Schedule, SchedulePolicy, ServiceConfig, Session, SessionBuffer,
-    SessionOptions,
+    RxBits, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer, SessionOptions,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One generated service workload.
 #[derive(Debug, Clone, Copy)]
@@ -34,35 +38,19 @@ struct Scenario {
     attempts: usize,
     /// 0 = AWGN symbols, 1 = BSC bits.
     chan: u8,
-    policy_idx: usize,
     seed: u64,
 }
 
-const POLICIES: [SchedulePolicy; 3] = [
-    SchedulePolicy::Fifo,
-    SchedulePolicy::OldestDeadlineFirst,
-    SchedulePolicy::CostSoFar,
-];
-
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (
-        1usize..4,
-        1usize..5,
-        1usize..4,
-        0u8..2,
-        0usize..3,
-        0u64..1 << 20,
+    (1usize..4, 1usize..5, 1usize..4, 0u8..2, 0u64..1 << 20).prop_map(
+        |(threads, sessions, attempts, chan, seed)| Scenario {
+            threads,
+            sessions,
+            attempts,
+            chan,
+            seed,
+        },
     )
-        .prop_map(
-            |(threads, sessions, attempts, chan, policy_idx, seed)| Scenario {
-                threads,
-                sessions,
-                attempts,
-                chan,
-                policy_idx,
-                seed,
-            },
-        )
 }
 
 /// Sender-side state for one generated session, able to extend the
@@ -143,24 +131,19 @@ proptest! {
 
     /// The flagship property: interleaved multi-session, multi-attempt
     /// service decodes are bit-identical to serial decodes of the same
-    /// buffers, under every policy and thread budget, with balanced
-    /// accounting at the end.
+    /// buffers at every thread budget, with balanced accounting at the
+    /// end.
     #[test]
     fn service_decodes_are_bit_identical_to_serial(sc in arb_scenario()) {
         let p = CodeParams::default().with_n(32).with_b(4);
         let dec = Arc::new(BubbleDecoder::new(&p));
-        let svc = DecodeService::new(sc.threads, ServiceConfig {
-            policy: POLICIES[sc.policy_idx],
-            ..ServiceConfig::default()
-        });
+        let svc = DecodeService::new(sc.threads, ServiceConfig::default());
         let mut sessions: Vec<(Session, SessionBuffer, Feed)> = (0..sc.sessions)
             .map(|i| {
                 let (buf, mirror, feed) = build_session(&p, &sc, i);
-                let opts = SessionOptions {
-                    deadline: i as u64,
-                    ..SessionOptions::default()
-                };
-                let session = svc.open_session(&dec, buf, opts).expect("admission");
+                let session = svc
+                    .open_session(&dec, buf, SessionOptions::default())
+                    .expect("admission");
                 (session, mirror, feed)
             })
             .collect();
@@ -187,14 +170,11 @@ proptest! {
         drop(sessions);
         let m = svc.metrics();
         prop_assert_eq!(m.submits, (sc.sessions * sc.attempts) as u64);
-        prop_assert_eq!(m.completions, m.submits, "lost or duplicated completions");
+        prop_assert_eq!(m.attempts_failed, 0u64);
+        prop_assert_eq!(m.completions + m.attempts_failed, m.submits,
+            "lost or duplicated completions");
         prop_assert_eq!(m.stale_completions, 0u64);
         prop_assert_eq!(m.sessions_shed, 0u64);
-        // Nothing in this workload cancels or expires — the
-        // hardened-lifecycle counters must stay silent.
-        prop_assert_eq!(m.attempts_cancelled, 0u64);
-        prop_assert_eq!(m.attempts_deadline_expired, 0u64);
-        prop_assert_eq!(m.deadline_misses, 0u64);
         prop_assert_eq!(svc.active_sessions(), 0);
     }
 
@@ -207,7 +187,6 @@ proptest! {
         let dec = Arc::new(BubbleDecoder::new(&p));
         let svc = DecodeService::new(1, ServiceConfig {
             max_sessions: sc.sessions,
-            policy: POLICIES[sc.policy_idx],
             ..ServiceConfig::default()
         });
         let mut held: Vec<Session> = (0..sc.sessions)
@@ -246,7 +225,6 @@ proptest! {
         let svc = DecodeService::new(sc.threads, ServiceConfig {
             queue_capacity: 1,
             max_inflight: 1,
-            policy: POLICIES[sc.policy_idx],
             ..ServiceConfig::default()
         });
         let mut sessions: Vec<(Option<Session>, SessionBuffer)> = (0..sc.sessions)
@@ -301,69 +279,9 @@ proptest! {
         let m = svc.metrics();
         prop_assert_eq!(m.submits, sc.sessions as u64, "each session decodes once");
         prop_assert_eq!(m.submits_rejected, refused, "refusals miscounted");
-        prop_assert_eq!(m.completions, m.submits, "a refused submit leaked a job");
+        prop_assert_eq!(m.attempts_failed, 0u64);
+        prop_assert_eq!(m.completions + m.attempts_failed, m.submits,
+            "a refused submit leaked a job");
         prop_assert_eq!(m.stale_completions, 0u64);
-    }
-
-    /// Hardened lifecycle: expired wall deadlines and caller cancels
-    /// resolve the attempt *without* a result, hand the buffer back,
-    /// and the books still balance exactly —
-    /// `submits == completions + attempts_cancelled + attempts_deadline_expired`.
-    #[test]
-    fn cancelled_and_expired_attempts_balance_the_books(sc in arb_scenario()) {
-        let p = CodeParams::default().with_n(32).with_b(4);
-        let dec = Arc::new(BubbleDecoder::new(&p));
-        let svc = DecodeService::new(sc.threads, ServiceConfig {
-            policy: POLICIES[sc.policy_idx],
-            ..ServiceConfig::default()
-        });
-        let mut expired_n = 0u64;
-        let mut cancels_won = 0u64;
-        for i in 0..sc.sessions {
-            let (buf, mirror, _) = build_session(&p, &sc, i);
-            let expired = i % 2 == 0;
-            let opts = SessionOptions {
-                // An already-elapsed wall deadline: the dispatcher must
-                // drop the attempt before it ever runs.
-                wall_deadline: expired.then(Instant::now),
-                ..SessionOptions::default()
-            };
-            let mut session = svc.open_session(&dec, buf, opts).expect("admission");
-            session.submit().expect("queue sized for the workload");
-            if expired {
-                expired_n += 1;
-                // wait_timeout distinguishes "resolved without result"
-                // (buffer home) from a genuine timeout (buffer absent).
-                let got = session.wait_timeout(Duration::from_secs(30));
-                prop_assert!(got.is_none(), "expired attempt {} produced a result", i);
-                prop_assert!(session.buffer().is_some(),
-                    "expired attempt {} did not return the buffer", i);
-            } else if session.cancel() {
-                // The cancel won the race against the worker: no result,
-                // buffer handed back, counted as cancelled.
-                cancels_won += 1;
-                prop_assert!(session.wait().is_none(), "cancelled attempt {} resolved", i);
-                prop_assert!(session.buffer().is_some(),
-                    "cancelled attempt {} did not return the buffer", i);
-            } else {
-                // The worker won: the result must still be bit-identical
-                // to the serial reference.
-                let got = session.wait().expect("uncancelled attempt lost")
-                    .expect("clean decode");
-                let want = serial_decode(&dec, &mirror);
-                prop_assert_eq!(&got.message, &want.message, "session {} ({:?})", i, sc);
-            }
-        }
-        let m = svc.metrics();
-        prop_assert_eq!(m.submits, sc.sessions as u64);
-        prop_assert_eq!(m.attempts_deadline_expired, expired_n, "expiry miscounted");
-        prop_assert_eq!(m.attempts_cancelled, cancels_won, "cancels miscounted");
-        prop_assert_eq!(
-            m.completions + m.attempts_cancelled + m.attempts_deadline_expired,
-            m.submits,
-            "an attempt vanished without a terminal accounting state ({:?})", sc
-        );
-        prop_assert_eq!(m.stale_completions, 0u64);
-        prop_assert_eq!(m.deadline_misses, 0u64, "a dropped attempt cannot also miss");
     }
 }
