@@ -8,17 +8,18 @@
 //! complete in whatever order the pool finishes them. On every schedule
 //! the receiver must report exactly what the inline loop reports for
 //! the same datagrams — a one-thread receiver whose every attempt is
-//! settled before the next datagram: ACK bitmap, payload and attempt
-//! count — with every submitted attempt completed and none stale, and
-//! the checker must find no deadlock, lost wakeup or lock-order
-//! inversion. `SPINAL_CHECK_SCHEDULES` caps each body's budget for CI
-//! smoke runs.
+//! settled before the next datagram: ACK bitmap, payload, attempt count
+//! and beam-ladder escalations — with every submitted attempt completed
+//! and none stale, and the checker must find no deadlock, lost wakeup or
+//! lock-order inversion. `SPINAL_CHECK_SCHEDULES` caps each body's
+//! budget for CI smoke runs.
 
 use spinal_channel::{AwgnChannel, Channel};
 use spinal_check::hooks::await_participants;
 use spinal_check::{check_random, CheckConfig};
 use spinal_core::{
-    CodeParams, DecodeService, Encoder, FrameBuilder, MetricsSnapshot, Schedule, ServiceConfig,
+    CodeParams, DecodeService, Encoder, FrameBuilder, MetricsSnapshot, Puncturing, Schedule,
+    ServiceConfig,
 };
 use spinal_net::{Packet, Payload, ReceiverConfig, SpinalReceiver};
 use std::collections::BTreeSet;
@@ -35,6 +36,15 @@ fn schedule_budget(default: usize) -> usize {
 
 fn params() -> CodeParams {
     CodeParams::default().with_n(32).with_b(4)
+}
+
+/// Unpunctured at B = 32: every attempt climbs the beam ladder, a
+/// B/16 = 2 beam first and B = 32 when the block CRC rejects it.
+fn laddered_params() -> CodeParams {
+    CodeParams::default()
+        .with_n(32)
+        .with_b(32)
+        .with_puncturing(Puncturing::none())
 }
 
 /// The payload: three 2-byte blocks at n = 32.
@@ -89,6 +99,7 @@ struct Observed {
     feedback: Option<Packet>,
     payload: Option<Vec<u8>>,
     decode_attempts: usize,
+    escalations: usize,
 }
 
 /// Hand `packets` to `receiver`, then ask for feedback. `inline`
@@ -105,19 +116,24 @@ fn drive(receiver: &mut SpinalReceiver, packets: &[Packet], inline: bool) -> Obs
         feedback: receiver.feedback(),
         payload: receiver.payload(),
         decode_attempts: receiver.decode_attempts(),
+        escalations: receiver.escalations(),
     }
 }
 
-/// Run the datagrams through a receiver on a `WORKERS`-thread service
-/// with `svc_cfg` across many schedules; check every schedule against
-/// the inline loop on a one-thread service with `svc_cfg`. Returns each
-/// schedule's service metrics.
-fn check_pipelined_receiver(what: &str, seed: u64, svc_cfg: ServiceConfig) -> Vec<MetricsSnapshot> {
-    let p = params();
-    let packets = datagrams(&p);
+/// Run the datagrams through a receiver for `p` on a `WORKERS`-thread
+/// service with `svc_cfg` across many schedules; check every schedule
+/// against the inline loop on a one-thread service with `svc_cfg`.
+/// Returns the inline reference and each schedule's service metrics.
+fn check_pipelined_receiver(
+    what: &str,
+    seed: u64,
+    p: &CodeParams,
+    svc_cfg: ServiceConfig,
+) -> (Observed, Vec<MetricsSnapshot>) {
+    let packets = datagrams(p);
     let cfg = ReceiverConfig::default();
     let inline = drive(
-        &mut SpinalReceiver::with_service(&p, cfg, DecodeService::new(1, svc_cfg)),
+        &mut SpinalReceiver::with_service(p, cfg, DecodeService::new(1, svc_cfg)),
         &packets,
         true,
     );
@@ -134,7 +150,7 @@ fn check_pipelined_receiver(what: &str, seed: u64, svc_cfg: ServiceConfig) -> Ve
     let (results, stats) = check_random(&check, || {
         let svc = DecodeService::new(WORKERS, svc_cfg);
         await_participants(1 + WORKERS);
-        let mut receiver = SpinalReceiver::with_service(&p, cfg, svc.clone());
+        let mut receiver = SpinalReceiver::with_service(p, cfg, svc.clone());
         let observed = drive(&mut receiver, &packets, false);
         drop(receiver);
         let m = svc.metrics();
@@ -147,7 +163,7 @@ fn check_pipelined_receiver(what: &str, seed: u64, svc_cfg: ServiceConfig) -> Ve
         "{what}: {}/{} distinct schedules",
         stats.distinct, stats.schedules
     );
-    results
+    let metrics = results
         .into_iter()
         .enumerate()
         .map(|(i, (observed, m))| {
@@ -161,12 +177,18 @@ fn check_pipelined_receiver(what: &str, seed: u64, svc_cfg: ServiceConfig) -> Ve
             assert_eq!(m.sessions_active, 0, "{what}: schedule {i}");
             m
         })
-        .collect()
+        .collect();
+    (inline, metrics)
 }
 
 #[test]
 fn pipelined_receiver_matches_inline_on_every_schedule() {
-    check_pipelined_receiver("pipelined receiver", 0x5EC_E17E, ServiceConfig::default());
+    check_pipelined_receiver(
+        "pipelined receiver",
+        0x5EC_E17E,
+        &params(),
+        ServiceConfig::default(),
+    );
 }
 
 /// A one-deep queue: block 2's attempt queues behind blocks 0 and 1,
@@ -175,9 +197,10 @@ fn pipelined_receiver_matches_inline_on_every_schedule() {
 /// its in-flight attempts and submits again.
 #[test]
 fn refused_submits_settle_and_retry_on_every_schedule() {
-    let metrics = check_pipelined_receiver(
+    let (_, metrics) = check_pipelined_receiver(
         "one-deep queue",
         0x0_DEE9,
+        &params(),
         ServiceConfig {
             queue_capacity: 1,
             ..ServiceConfig::default()
@@ -197,9 +220,10 @@ fn refused_submits_settle_and_retry_on_every_schedule() {
 /// the inline loop did before block 2's span arrived.
 #[test]
 fn refused_sessions_settle_and_retry_on_every_schedule() {
-    let metrics = check_pipelined_receiver(
+    let (_, metrics) = check_pipelined_receiver(
         "two-session service",
         0x2_5E55,
+        &params(),
         ServiceConfig {
             max_sessions: 2,
             ..ServiceConfig::default()
@@ -211,4 +235,31 @@ fn refused_sessions_settle_and_retry_on_every_schedule() {
             "schedule {i}: block 2 was never refused"
         );
     }
+}
+
+/// The beam ladder inside a service job: block 0's first attempt, on
+/// one pass at 2 dB, escalates to the full beam while its second span
+/// arrives, and the receiver must settle that escalated attempt before
+/// folding the span in. Every schedule must count the escalations the
+/// inline loop counts.
+#[test]
+fn escalating_attempts_race_new_spans_on_every_schedule() {
+    let (inline, _) = check_pipelined_receiver(
+        "beam ladder",
+        0x1_ADDE,
+        &laddered_params(),
+        ServiceConfig::default(),
+    );
+    eprintln!(
+        "beam ladder: {} of {} inline attempts escalated",
+        inline.escalations, inline.decode_attempts
+    );
+    assert!(
+        inline.escalations >= 1,
+        "block 0's first attempt must escalate: {inline:?}"
+    );
+    assert!(
+        inline.escalations < inline.decode_attempts,
+        "some attempt must decode at the B/16 rung: {inline:?}"
+    );
 }

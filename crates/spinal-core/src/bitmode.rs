@@ -180,7 +180,11 @@ impl BitModeDecoder {
             node = parent;
         }
         debug_assert_eq!(depth, 0);
-        DecodeResult { message: msg, cost }
+        DecodeResult {
+            message: msg,
+            cost,
+            escalated: false,
+        }
     }
 }
 

@@ -40,6 +40,51 @@
 //! exact instantiation compiles to the same operations as before the
 //! profile split.
 //!
+//! # Beam ladder
+//!
+//! A decode's work is `B·2^k` per step (§4), yet on unpunctured passes
+//! a much narrower beam usually finds the same message. A decoder given
+//! a block check ([`BubbleDecoder::with_block_check`], the CRC for
+//! framed blocks) climbs a two-rung ladder when its schedule is
+//! unpunctured and `B/16 ≥ 2`:
+//!
+//! 1. run a `B/16` beam over the attempt's tables, and return its
+//!    candidate if the check accepts it;
+//! 2. otherwise run the configured `B` over the same tables (synced and
+//!    quantized once), which is exactly the decode without a ladder,
+//!    and mark the result [`escalated`](DecodeResult::escalated).
+//!
+//! Every entry point — symbols, symbols with a [`TableCache`], and bits,
+//! under both profiles — goes through the one ladder helper, so
+//! requests, engine batches and service sessions stay bit-identical. A
+//! rung of width `w` equals a fresh decoder built from
+//! `params.with_b(w)`, bit for bit. The top rung is `B`, so a block
+//! decodes at the same subpass boundary as without the ladder, or an
+//! earlier one; the exception is a check that falsely accepts a wrong
+//! first-rung candidate. Each escalation is one more wrong candidate
+//! offered to the check.
+//!
+//! The rung and the gate are derived, not configured. They rest on
+//! replays of the transport benchmark's transfers through `spinal-net`
+//! (n = 256, k = 4, B = 256, quantized, on a 2-core x86-64 host):
+//!
+//! * On unpunctured passes, `B/16` escalated only at boundaries where
+//!   `B = 256` failed too: 1, 0, 1 and 1 times over the short
+//!   (3,000 transfers) and bulk (60 transfers) workloads at seeds 1 and
+//!   7919. So the ladder at most doubles the wrong candidates there, and
+//!   every transfer sent the same symbols as without it.
+//! * A `B/32 = 8` first rung escalated 20 times on the short workload
+//!   at seed 1, mostly where `B = 256` decoded. It gave 1.28–1.33× the
+//!   goodput of `B/16` over five pairs of 10 s runs, but its escalations
+//!   outnumber the full beam's failures; `B/16` is the narrowest rung
+//!   measured that keeps them below.
+//! * Under the default 8-way puncturing (short workload at 18 dB, 400
+//!   transfers), first rungs of width 8, 16 and 32 escalated on 86–92%
+//!   of attempts. They cut the replay's wall time by only 7–19% in
+//!   single runs, and more than doubled the wrong candidates per
+//!   delivered block (3.52 to 7.41–7.67). So a punctured schedule never
+//!   takes the ladder.
+//!
 //! # Hot-path organisation
 //!
 //! The inner loop is engineered around three observations:
@@ -101,6 +146,10 @@ pub struct DecodeResult {
     /// integer path cost mapped back to exact-metric units through the
     /// decode's affine quantization map (`u32::MAX` ⇒ `+∞`).
     pub cost: f64,
+    /// True when the [beam ladder](self#beam-ladder) ran the configured
+    /// beam because the block check rejected the narrow first rung's
+    /// candidate. Always false for a decoder whose ladder is off.
+    pub escalated: bool,
 }
 
 /// The arithmetic of one metric profile: how path costs accumulate,
@@ -619,14 +668,15 @@ struct BeamScratch<'a, C: CostKind> {
     sel_scratch: &'a mut Vec<u32>,
 }
 
-/// The serial beam search, shared by every profile and table source.
-/// Mirrors the original `decode_inner` step for step; returns the
-/// winning `(cost, tree, rel_path)` leaf, leaving the arena and tree
-/// roots in `sc` for message reconstruction.
+/// The serial beam search of width `b`, shared by every profile and
+/// table source. Mirrors the original `decode_inner` step for step;
+/// returns the winning `(cost, tree, rel_path)` leaf, leaving the arena
+/// and tree roots in `sc` for message reconstruction.
 fn beam_search<C: CostKind, S: MetricSource<C>>(
     p: &CodeParams,
     src: &mut S,
     sc: &mut BeamScratch<'_, C>,
+    b: usize,
 ) -> (C, u32, u64) {
     let ns = p.num_spines();
     let k = p.k;
@@ -660,9 +710,9 @@ fn beam_search<C: CostKind, S: MetricSource<C>>(
         sc.key_min.resize(n_keys, C::INF);
         sc.fr.accumulate_key_min(k, shift, sc.key_min);
 
-        // Keep the best B keys. Every key is populated (expansion is
+        // Keep the best b keys. Every key is populated (expansion is
         // total over edges), so selection runs over all of them.
-        C::select(sc.key_min, p.b, sc.order, sc.sel_scratch);
+        C::select(sc.key_min, b, sc.order, sc.sel_scratch);
         commit_selection(
             sc.order,
             k,
@@ -720,6 +770,62 @@ impl DecodeWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The exact profile's beam buffers, with the per-step table scratch.
+    fn exact_parts(&mut self) -> (BeamScratch<'_, f64>, &mut Vec<f64>, &mut Vec<u32>) {
+        let DecodeWorkspace {
+            fr,
+            tables,
+            rngs,
+            key_min,
+            order,
+            key_to_new,
+            new_roots,
+            arena,
+            tree_roots,
+            sel_scratch,
+            ..
+        } = self;
+        let sc = BeamScratch {
+            fr,
+            key_min,
+            order,
+            key_to_new,
+            new_roots,
+            arena,
+            tree_roots,
+            sel_scratch,
+        };
+        (sc, tables, rngs)
+    }
+
+    /// The quantized profile's beam buffers, with the prepared
+    /// quantized tables.
+    fn quant_parts(&mut self) -> (BeamScratch<'_, u32>, &QuantTables) {
+        let DecodeWorkspace {
+            qfr,
+            qkey_min,
+            quant,
+            order,
+            key_to_new,
+            new_roots,
+            arena,
+            tree_roots,
+            sel_scratch,
+            ..
+        } = self;
+        let sc = BeamScratch {
+            fr: qfr,
+            key_min: qkey_min,
+            order,
+            key_to_new,
+            new_roots,
+            arena,
+            tree_roots,
+            sel_scratch,
+        };
+        (sc, quant)
+    }
 }
 
 const NO_PARENT: u32 = u32::MAX;
@@ -753,6 +859,7 @@ pub struct BubbleDecoder {
     params: CodeParams,
     gen: SymbolGen,
     profile: MetricProfile,
+    check: Option<fn(&Message) -> bool>,
 }
 
 impl Clone for BubbleDecoder {
@@ -767,6 +874,7 @@ impl Clone for BubbleDecoder {
             params: self.params.clone(),
             gen: self.gen.clone(),
             profile: self.profile,
+            check: self.check,
         }
     }
 }
@@ -784,6 +892,7 @@ impl BubbleDecoder {
             params: params.clone(),
             gen: SymbolGen::new(params),
             profile: MetricProfile::Exact,
+            check: None,
         }
     }
 
@@ -805,6 +914,16 @@ impl BubbleDecoder {
     /// The metric profile this decoder runs under.
     pub fn profile(&self) -> MetricProfile {
         self.profile
+    }
+
+    /// Give the decoder the caller's block check (builder style) — for
+    /// framed blocks, the CRC. It turns on the
+    /// [beam ladder](self#beam-ladder) where the gate allows: every
+    /// decode then tries a `B/16` beam first and runs the configured
+    /// `B` only when `check` rejects that candidate.
+    pub fn with_block_check(mut self, check: fn(&Message) -> bool) -> Self {
+        self.check = Some(check);
+        self
     }
 
     /// The decoder's code parameters.
@@ -835,7 +954,23 @@ impl BubbleDecoder {
     ) -> DecodeResult {
         assert_eq!(rx.n_spines(), self.params.num_spines());
         match self.profile {
-            MetricProfile::Exact => self.decode_exact_per_step(rx, ws),
+            MetricProfile::Exact => {
+                let c = self.c_bits();
+                let levels = self.levels();
+                self.climb(|b| {
+                    let (mut sc, tables, rngs) = ws.exact_parts();
+                    let mut src = PerStepSymbols {
+                        levels,
+                        rx,
+                        m: levels.len(),
+                        i_shift: 32 - c,
+                        q_shift: 16 - c,
+                        tables,
+                        rngs,
+                    };
+                    self.run_beam(&mut src, &mut sc, b, (1.0, 0.0))
+                })
+            }
             MetricProfile::Quantized => {
                 // Prepare exact tables for the whole buffer, then
                 // quantize; determinism needs no cache contract here
@@ -844,7 +979,7 @@ impl BubbleDecoder {
                 ws.prep.reset(ns);
                 ws.prep.sync(self.levels(), rx);
                 ws.quant.rebuild(&ws.prep, self.levels().len());
-                self.decode_quant_prepared(ws)
+                self.climb(|b| self.decode_quant_prepared(ws, b))
             }
         }
     }
@@ -853,38 +988,13 @@ impl BubbleDecoder {
     /// form of [`DecodeRequest`](crate::DecodeRequest) resolves to.
     pub(crate) fn decode_bits_impl(&self, rx: &RxBits, ws: &mut DecodeWorkspace) -> DecodeResult {
         assert_eq!(rx.n_spines(), self.params.num_spines());
-        match self.profile {
-            MetricProfile::Exact => {
-                let DecodeWorkspace {
-                    fr,
-                    key_min,
-                    order,
-                    key_to_new,
-                    new_roots,
-                    arena,
-                    tree_roots,
-                    sel_scratch,
-                    ..
-                } = ws;
-                let mut src = BitsSource { rx };
-                let mut sc = BeamScratch {
-                    fr,
-                    key_min,
-                    order,
-                    key_to_new,
-                    new_roots,
-                    arena,
-                    tree_roots,
-                    sel_scratch,
-                };
-                let (cost, tree, path) = beam_search(&self.params, &mut src, &mut sc);
-                self.finish::<f64>(cost, tree, path, sc.arena, sc.tree_roots, (1.0, 0.0))
-            }
+        let mut src = BitsSource { rx };
+        self.climb(|b| match self.profile {
+            MetricProfile::Exact => self.run_beam(&mut src, &mut ws.exact_parts().0, b, (1.0, 0.0)),
             MetricProfile::Quantized => {
-                let mut src = BitsSource { rx };
-                self.run_quant(&mut src, ws, (1.0, 0.0))
+                self.run_beam(&mut src, &mut ws.quant_parts().0, b, (1.0, 0.0))
             }
-        }
+        })
     }
 
     /// The incremental-table decode — the computation every
@@ -910,96 +1020,47 @@ impl BubbleDecoder {
                     i_shift: 32 - c,
                     q_shift: 16 - c,
                 };
-                let DecodeWorkspace {
-                    fr,
-                    key_min,
-                    order,
-                    key_to_new,
-                    new_roots,
-                    arena,
-                    tree_roots,
-                    sel_scratch,
-                    ..
-                } = ws;
-                let mut sc = BeamScratch {
-                    fr,
-                    key_min,
-                    order,
-                    key_to_new,
-                    new_roots,
-                    arena,
-                    tree_roots,
-                    sel_scratch,
-                };
-                let (cost, tree, path) = beam_search(&self.params, &mut src, &mut sc);
-                self.finish::<f64>(cost, tree, path, sc.arena, sc.tree_roots, (1.0, 0.0))
+                self.climb(|b| self.run_beam(&mut src, &mut ws.exact_parts().0, b, (1.0, 0.0)))
             }
             MetricProfile::Quantized => {
                 ws.quant.rebuild(st, m);
-                self.decode_quant_prepared(ws)
+                self.climb(|b| self.decode_quant_prepared(ws, b))
             }
         }
     }
 
-    /// The exact profile's original per-step path.
-    fn decode_exact_per_step(&self, rx: &RxSymbols, ws: &mut DecodeWorkspace) -> DecodeResult {
-        let c = self.c_bits();
-        let levels = self.gen.constellation().levels();
-        let DecodeWorkspace {
-            fr,
-            tables,
-            rngs,
-            key_min,
-            order,
-            key_to_new,
-            new_roots,
-            arena,
-            tree_roots,
-            sel_scratch,
-            ..
-        } = ws;
-        let mut src = PerStepSymbols {
-            levels,
-            rx,
-            m: levels.len(),
-            i_shift: 32 - c,
-            q_shift: 16 - c,
-            tables,
-            rngs,
+    /// The [beam ladder](self#beam-ladder) every entry point goes
+    /// through. `decode_at(w)` runs one beam of width `w` over the
+    /// attempt's prepared tables. When the decoder carries a block
+    /// check, its schedule is unpunctured and `B/16 ≥ 2`, the ladder
+    /// calls it at `B/16` first; otherwise, or if the check rejects that
+    /// candidate, it calls it at the configured `B` — exactly the decode
+    /// a decoder without the ladder runs.
+    fn climb(&self, mut decode_at: impl FnMut(usize) -> DecodeResult) -> DecodeResult {
+        let rung = self.params.b / 16;
+        let gate = self.params.puncturing.ways() == 1 && rung >= 2;
+        let Some(check) = self.check.filter(|_| gate) else {
+            return decode_at(self.params.b);
         };
-        let mut sc = BeamScratch {
-            fr,
-            key_min,
-            order,
-            key_to_new,
-            new_roots,
-            arena,
-            tree_roots,
-            sel_scratch,
-        };
-        let (cost, tree, path) = beam_search(&self.params, &mut src, &mut sc);
-        self.finish::<f64>(cost, tree, path, sc.arena, sc.tree_roots, (1.0, 0.0))
+        let first = decode_at(rung);
+        if check(&first.message) {
+            return first;
+        }
+        DecodeResult {
+            escalated: true,
+            ..decode_at(self.params.b)
+        }
     }
 
-    /// Quantized beam over the workspace's prepared quantized tables.
-    fn decode_quant_prepared(&self, ws: &mut DecodeWorkspace) -> DecodeResult {
+    /// Quantized beam of width `b` over the workspace's prepared
+    /// quantized tables.
+    fn decode_quant_prepared(&self, ws: &mut DecodeWorkspace, b: usize) -> DecodeResult {
         if self.params.d.min(self.params.num_spines()) == 1 {
-            return self.decode_quant_d1(ws);
+            return self.decode_quant_d1(ws, b);
         }
         let c = self.c_bits();
         let m = self.levels().len();
-        let DecodeWorkspace {
-            qfr,
-            qkey_min,
-            quant,
-            order,
-            key_to_new,
-            new_roots,
-            arena,
-            tree_roots,
-            sel_scratch,
-            ..
-        } = ws;
+        let (mut sc, quant) = ws.quant_parts();
         let mut src = PreparedSymbols::<u32> {
             tables: &quant.tables,
             rngs: &quant.rngs,
@@ -1008,18 +1069,7 @@ impl BubbleDecoder {
             i_shift: 32 - c,
             q_shift: 16 - c,
         };
-        let mut sc = BeamScratch {
-            fr: qfr,
-            key_min: qkey_min,
-            order,
-            key_to_new,
-            new_roots,
-            arena,
-            tree_roots,
-            sel_scratch,
-        };
-        let (cost, tree, path) = beam_search(&self.params, &mut src, &mut sc);
-        self.finish::<u32>(cost, tree, path, sc.arena, sc.tree_roots, quant.dequant())
+        self.run_beam(&mut src, &mut sc, b, quant.dequant())
     }
 
     /// The quantized profile's specialised `d = 1` kernel (the paper's
@@ -1038,7 +1088,7 @@ impl BubbleDecoder {
     /// ascending-key tie-break, same arena contents; the
     /// `quant_d1_kernel_matches_generic_quantized_beam` test pins that
     /// on every branch below.
-    fn decode_quant_d1(&self, ws: &mut DecodeWorkspace) -> DecodeResult {
+    fn decode_quant_d1(&self, ws: &mut DecodeWorkspace, b: usize) -> DecodeResult {
         let p = &self.params;
         let ns = p.num_spines();
         let k = p.k;
@@ -1288,7 +1338,7 @@ impl BubbleDecoder {
             // Select-and-rebuild: one sequential scan in ascending key
             // order (key = leaf·2^k + edge = child index) emits the
             // survivors straight into the new frontier.
-            let keep = p.b.min(ef);
+            let keep = b.min(ef);
             new_roots.clear();
             let edge_mask = (fanout - 1) as u32;
             if keep == ef {
@@ -1341,57 +1391,27 @@ impl BubbleDecoder {
         DecodeResult {
             message,
             cost: best.0.to_cost_f64(quant.dequant()),
+            escalated: false,
         }
     }
 
-    /// Quantized beam over any metric source (the BSC path).
-    fn run_quant<S: MetricSource<u32>>(
+    /// Run the beam of width `b` over `src`, then rebuild the winner's
+    /// message and report its cost in exact-metric units through the
+    /// profile's `dequant` map.
+    fn run_beam<C: CostKind, S: MetricSource<C>>(
         &self,
         src: &mut S,
-        ws: &mut DecodeWorkspace,
+        sc: &mut BeamScratch<'_, C>,
+        b: usize,
         dequant: (f64, f64),
     ) -> DecodeResult {
-        let DecodeWorkspace {
-            qfr,
-            qkey_min,
-            order,
-            key_to_new,
-            new_roots,
-            arena,
-            tree_roots,
-            sel_scratch,
-            ..
-        } = ws;
-        let mut sc = BeamScratch {
-            fr: qfr,
-            key_min: qkey_min,
-            order,
-            key_to_new,
-            new_roots,
-            arena,
-            tree_roots,
-            sel_scratch,
-        };
-        let (cost, tree, path) = beam_search(&self.params, src, &mut sc);
-        self.finish::<u32>(cost, tree, path, sc.arena, sc.tree_roots, dequant)
-    }
-
-    /// Reconstruct the winner's message and report its cost in
-    /// exact-metric units.
-    fn finish<C: CostKind>(
-        &self,
-        cost: C,
-        tree: u32,
-        path: u64,
-        arena: &[(u32, u32)],
-        tree_roots: &[u32],
-        dequant: (f64, f64),
-    ) -> DecodeResult {
+        let (cost, tree, path) = beam_search(&self.params, src, sc, b);
         let d = self.params.d.min(self.params.num_spines());
-        let message = reconstruct_message(&self.params, d, arena, tree_roots[tree as usize], path);
+        let root = sc.tree_roots[tree as usize];
         DecodeResult {
-            message,
+            message: reconstruct_message(&self.params, d, sc.arena, root, path),
             cost: cost.to_cost_f64(dequant),
+            escalated: false,
         }
     }
 }
@@ -1794,7 +1814,7 @@ mod tests {
     }
 
     /// The generic quantized beam ([`beam_search`] over the prepared
-    /// `u16` tables, the way [`BubbleDecoder::run_quant`] decodes bits):
+    /// `u16` tables, the way [`BubbleDecoder::run_beam`] decodes bits):
     /// the reference the specialised `d = 1` kernel must reproduce.
     fn generic_quant_decode(dec: &BubbleDecoder, rx: &RxSymbols) -> DecodeResult {
         let m = dec.levels().len();
@@ -1812,7 +1832,9 @@ mod tests {
             i_shift: 32 - c,
             q_shift: 16 - c,
         };
-        dec.run_quant(&mut src, &mut DecodeWorkspace::new(), quant.dequant())
+        let mut ws = DecodeWorkspace::new();
+        let b = dec.params_ref().b;
+        dec.run_beam(&mut src, &mut ws.quant_parts().0, b, quant.dequant())
     }
 
     #[test]

@@ -98,6 +98,7 @@ impl MlDecoder {
         DecodeResult {
             message: msg,
             cost: best_cost,
+            escalated: false,
         }
     }
 }

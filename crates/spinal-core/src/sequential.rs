@@ -144,6 +144,7 @@ impl StackDecoder {
                     result: Some(DecodeResult {
                         message: msg,
                         cost: path.cost,
+                        escalated: false,
                     }),
                     nodes_expanded: expanded,
                 };

@@ -18,8 +18,8 @@ use rand::{Rng, SeedableRng};
 use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel, RayleighChannel};
 use spinal_core::{
     BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeResult, DecodeService, Encoder,
-    Message, MetricProfile, RxBits, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer,
-    SessionOptions,
+    Message, MetricProfile, Puncturing, RxBits, RxSymbols, Schedule, ServiceConfig, Session,
+    SessionBuffer, SessionOptions, TableCache,
 };
 use std::sync::Arc;
 
@@ -72,11 +72,18 @@ fn cases() -> Vec<Case> {
 }
 
 fn build_case(case: &Case) -> (CodeParams, SessionBuffer) {
+    build_case_with(case, Puncturing::strided8())
+}
+
+/// A corpus case's parameters and observations under `puncturing` (the
+/// recorded grid uses the default 8-way schedule).
+fn build_case_with(case: &Case, puncturing: Puncturing) -> (CodeParams, SessionBuffer) {
     let params = CodeParams::default()
         .with_n(case.n)
         .with_k(case.k)
         .with_b(case.b)
-        .with_d(case.d);
+        .with_d(case.d)
+        .with_puncturing(puncturing);
     let mut rng = StdRng::seed_from_u64(case.seed);
     let msg = Message::random(params.n, || rng.gen());
     let mut enc = Encoder::new(&params, &msg);
@@ -298,4 +305,93 @@ fn decoder_output_matches_recorded_corpus() {
             out.cost
         );
     }
+}
+
+/// `case`'s decode through every path a caller can take: a request with
+/// and without a [`TableCache`], a service session, and (for symbols) an
+/// engine batch.
+fn every_path(
+    engine: &DecodeEngine,
+    svc: &DecodeService,
+    dec: &Arc<BubbleDecoder>,
+    rx: &SessionBuffer,
+) -> Vec<(&'static str, DecodeResult)> {
+    let mut cache = TableCache::new();
+    let cached = match rx {
+        SessionBuffer::Symbols(rx) => DecodeRequest::new(dec, rx).cache(&mut cache).decode(),
+        SessionBuffer::Bits(rx) => DecodeRequest::new(dec, rx).cache(&mut cache).decode(),
+    };
+    let mut session = svc
+        .open_session(dec, rx.clone(), SessionOptions::default())
+        .expect("admitted");
+    session.submit().expect("queued");
+    let session = session
+        .wait()
+        .expect("attempt in flight")
+        .expect("clean session decode");
+    let mut out = vec![
+        ("request", serial_decode(dec, rx)),
+        ("cached request", cached),
+        ("session", session),
+    ];
+    if let SessionBuffer::Symbols(rx) = rx {
+        let batch = engine.decode_batch_parallel(dec, std::slice::from_ref(rx));
+        out.extend(batch.into_iter().map(|r| ("batch", r)));
+    }
+    out
+}
+
+/// The beam ladder's oracles. On the unpunctured copy of the grid, a
+/// check that rejects everything leaves exactly the plain decode (after
+/// an escalation wherever the ladder runs), and a check that accepts
+/// everything leaves exactly a fresh `B/16` decoder's result where
+/// `B/16 ≥ 2`, else the plain decode. On the recorded punctured grid
+/// the ladder never runs, so both checks leave the plain decode. Every
+/// path, under both profiles.
+#[test]
+fn beam_ladder_equals_its_rungs_on_corpus() {
+    let reject: fn(&Message) -> bool = |_| false;
+    let accept: fn(&Message) -> bool = |_| true;
+    let engine = DecodeEngine::new(2);
+    let svc = DecodeService::new(2, ServiceConfig::default());
+    let mut laddered = 0;
+    for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
+        for puncturing in [Puncturing::none(), Puncturing::strided8()] {
+            for (i, case) in cases().iter().enumerate() {
+                let (params, rx) = build_case_with(case, puncturing);
+                let plain = serial_decode(&BubbleDecoder::new(&params).with_profile(profile), &rx);
+                let rung = params.b / 16;
+                let ladder = puncturing.ways() == 1 && rung >= 2;
+                laddered += usize::from(ladder);
+                let first_rung = if ladder {
+                    let narrow = params.clone().with_b(rung);
+                    serial_decode(&BubbleDecoder::new(&narrow).with_profile(profile), &rx)
+                } else {
+                    plain.clone()
+                };
+                for (check, want, escalated, which) in [
+                    (reject, &plain, ladder, "reject"),
+                    (accept, &first_rung, false, "accept"),
+                ] {
+                    let dec = Arc::new(
+                        BubbleDecoder::new(&params)
+                            .with_profile(profile)
+                            .with_block_check(check),
+                    );
+                    for (path, out) in every_path(&engine, &svc, &dec, &rx) {
+                        let ctx = format!(
+                            "{profile:?} {} ways case {i} (B={}) {which}-all check, {path}",
+                            puncturing.ways(),
+                            params.b
+                        );
+                        assert_eq!(out.message, want.message, "{ctx}: message");
+                        assert_eq!(out.cost.to_bits(), want.cost.to_bits(), "{ctx}: cost");
+                        assert_eq!(out.escalated, escalated, "{ctx}: escalated");
+                    }
+                }
+            }
+        }
+    }
+    // B = 32 and B = 64 cases, under both profiles, unpunctured only.
+    assert_eq!(laddered, 2 * 9, "the ladder must run on the B >= 32 cases");
 }

@@ -19,6 +19,16 @@
 //! [`MetricProfile::Quantized`] metric (its BLER is held to the exact
 //! profile's by the `quant_parity` oracle).
 //!
+//! That decoder carries the block CRC as its block check
+//! ([`BubbleDecoder::with_block_check`]). On an unpunctured schedule
+//! with `B ≥ 32` every attempt therefore climbs the decoder's beam
+//! ladder inside its one service job: a `B/16` beam first, and the
+//! configured `B` on the same tables only when the CRC rejects that
+//! candidate. The top rung is the decode without a ladder, so a block
+//! decodes at the same boundary or an earlier one, and an attempt's cost
+//! depends on whether it escalated ([`SpinalReceiver::escalations`]).
+//! Under puncturing the ladder is off.
+//!
 //! Attempts are pipelined. A block that crosses a boundary submits its
 //! attempt and the receiver moves on, so every ready block decodes at
 //! once on the service's workers. The attempt is *settled* later —
@@ -50,8 +60,9 @@
 use crate::link::Datagram;
 use crate::wire::{Packet, Payload};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeService, FrameBuilder, FrameReassembly, MetricProfile, RxBits,
-    RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer, SessionOptions,
+    BubbleDecoder, CodeParams, DecodeService, FrameBuilder, FrameReassembly, Message,
+    MetricProfile, RxBits, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer,
+    SessionOptions,
 };
 use std::collections::BTreeMap;
 use std::io;
@@ -133,6 +144,12 @@ fn buffer_push_tail(buf: &mut SessionBuffer, payload: &Payload, skip_within: usi
         },
         _ => false,
     }
+}
+
+/// The block CRC as the decoder's block check: it lets the beam ladder
+/// accept a narrow rung's candidate exactly when the receiver would.
+fn block_crc(msg: &Message) -> bool {
+    FrameBuilder::new(msg.len_bits()).validate(msg).is_some()
 }
 
 /// Per-block receive state.
@@ -243,6 +260,8 @@ struct TransferState {
     decoder: Arc<BubbleDecoder>,
     boundaries: Vec<usize>,
     datagrams_received: u32,
+    /// Settled attempts whose beam ladder escalated.
+    escalations: usize,
 }
 
 impl TransferState {
@@ -260,6 +279,7 @@ impl TransferState {
         let Some(Ok(result)) = self.session(idx).and_then(Session::wait) else {
             return;
         };
+        self.escalations += usize::from(result.escalated);
         if self.reassembly.offer(idx, &result.message) {
             if let Some(state) = self.blocks.get_mut(idx) {
                 state.decoded = true;
@@ -361,6 +381,8 @@ pub struct SpinalReceiver {
     owns_service: bool,
     transfer: Option<TransferState>,
     decode_attempts: usize,
+    /// Escalations of the transfers an Init replaced.
+    escalations_retired: usize,
     reorder_evictions: u64,
     /// Salvaged per-block bytes from an earlier interrupted transfer,
     /// keyed by the transfer id they may resume under.
@@ -396,6 +418,7 @@ impl SpinalReceiver {
             owns_service: false,
             transfer: None,
             decode_attempts: 0,
+            escalations_retired: 0,
             reorder_evictions: 0,
             salvage: None,
             resumed_blocks: 0,
@@ -464,7 +487,14 @@ impl SpinalReceiver {
         block_bits: u32,
         resume: &[bool],
     ) {
-        if block_bits as usize != self.params.n || n_blocks == 0 {
+        let builder = FrameBuilder::new(self.params.n);
+        // Accept only the geometry `FrameBuilder::build` produces: any
+        // other block count could never complete, or would complete
+        // with the wrong length.
+        let block_bytes = builder.payload_bits() / 8;
+        if block_bits as usize != self.params.n
+            || usize::from(n_blocks) != (payload_len as usize).div_ceil(block_bytes).max(1)
+        {
             return; // geometry we cannot decode
         }
         if let Some(t) = &self.transfer {
@@ -476,6 +506,7 @@ impl SpinalReceiver {
         // none completes stale.
         if let Some(mut old) = self.transfer.take() {
             old.settle_all();
+            self.escalations_retired += old.escalations;
         }
         if self.owns_service {
             let threads = pool_threads(usize::from(n_blocks));
@@ -483,7 +514,6 @@ impl SpinalReceiver {
                 self.service = DecodeService::new(threads, ServiceConfig::default());
             }
         }
-        let builder = FrameBuilder::new(self.params.n);
         let mut t = TransferState {
             transfer_id,
             reassembly: FrameReassembly::new(
@@ -494,12 +524,15 @@ impl SpinalReceiver {
             ),
             blocks: (0..n_blocks).map(|_| BlockState::new()).collect(),
             decoder: Arc::new(
-                BubbleDecoder::new(&self.params).with_profile(MetricProfile::Quantized),
+                BubbleDecoder::new(&self.params)
+                    .with_profile(MetricProfile::Quantized)
+                    .with_block_check(block_crc),
             ),
             boundaries: self
                 .schedule
                 .subpass_boundaries(self.cfg.max_passes * self.schedule.symbols_per_pass()),
             datagrams_received: 0,
+            escalations: 0,
         };
         // Resume: re-seed every block the sender pre-acknowledged from
         // the salvage staged for this transfer. The sender will emit no
@@ -607,9 +640,23 @@ impl SpinalReceiver {
     }
 
     /// Decode attempts submitted so far (across all blocks) — the
-    /// receiver's compute-cost counter.
+    /// receiver's compute-cost counter. An attempt's cost depends on
+    /// whether it escalated: one that did ran both rungs of the beam
+    /// ladder, one that did not ran a single beam (see
+    /// [`SpinalReceiver::escalations`]).
     pub fn decode_attempts(&self) -> usize {
         self.decode_attempts
+    }
+
+    /// Settled attempts whose beam ladder escalated: the block CRC
+    /// rejected the `B/16` candidate, so the attempt also ran the
+    /// configured beam. Each escalation is one more wrong candidate
+    /// offered to the CRC. Always 0 on a punctured schedule or at
+    /// `B < 32`, where the ladder is off. Settles every in-flight
+    /// attempt first.
+    pub fn escalations(&mut self) -> usize {
+        let current = self.settled().map_or(0, |t| t.escalations);
+        self.escalations_retired + current
     }
 
     /// Spans discarded because a block's reorder buffer hit
@@ -879,6 +926,20 @@ mod tests {
             resume: vec![],
         });
         assert!(r.feedback().is_none());
+    }
+
+    #[test]
+    fn init_whose_length_does_not_fit_its_block_count_is_ignored() {
+        // n = 64 carries 6 payload bytes per block.
+        let p = params();
+        for (payload_len, n_blocks) in [(1000, 1), (u32::MAX, 1), (6, 3)] {
+            let mut r = SpinalReceiver::new(&p, ReceiverConfig::default());
+            r.handle(init_pkt(n_blocks, payload_len));
+            assert!(
+                r.feedback().is_none(),
+                "Init{{payload_len: {payload_len}, n_blocks: {n_blocks}}} was accepted"
+            );
+        }
     }
 
     #[test]

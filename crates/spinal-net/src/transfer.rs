@@ -171,6 +171,11 @@ pub struct TransferReport {
     pub rounds: usize,
     /// Decode attempts the receiver ran.
     pub decode_attempts: usize,
+    /// Attempts whose beam ladder escalated to the configured beam
+    /// after the block CRC rejected the narrow rung's candidate (see
+    /// [`SpinalReceiver::escalations`]). The transfer's wrong
+    /// candidates are `decode_attempts − blocks_decoded + escalations`.
+    pub escalations: usize,
     /// Transient I/O errors absorbed (retried) during the transfer.
     pub transient_io_errors: usize,
     /// Spans the receiver evicted from its capped reorder buffer.
@@ -228,6 +233,7 @@ impl TransferReport {
             self.passes_sent as u64,
             self.rounds as u64,
             self.decode_attempts as u64,
+            self.escalations as u64,
             self.transient_io_errors as u64,
             self.reorder_evictions,
             self.backoff_skips as u64,
@@ -371,6 +377,7 @@ fn build_report(
         passes_sent: sender.passes_sent(),
         rounds,
         decode_attempts: receiver.decode_attempts(),
+        escalations: receiver.escalations(),
         transient_io_errors,
         reorder_evictions: receiver.reorder_evictions(),
         backoff_skips: sender.backoff_skips(),
@@ -429,6 +436,7 @@ pub fn resume_transfer<A: Datagram, B: Datagram>(
             passes_sent: 0,
             rounds: 0,
             decode_attempts: 0,
+            escalations: 0,
             transient_io_errors: 0,
             reorder_evictions: 0,
             backoff_skips: 0,
@@ -1158,7 +1166,10 @@ mod tests {
     /// on the inline loop's buffers, so the whole report matches. Two
     /// tight configurations force the refuse, settle and retry paths:
     /// two sessions for five blocks refuses `open_session`, and one
-    /// attempt running with a one-deep queue refuses `submit`.
+    /// attempt running with a one-deep queue refuses `submit`. The
+    /// unpunctured B = 64 set runs the beam ladder (a B/16 = 4 first
+    /// rung), so escalations must match too; at B = 16 the ladder is
+    /// off.
     #[test]
     fn pooled_receivers_report_exactly_what_the_inline_loop_does() {
         const SEEDS: u64 = if cfg!(debug_assertions) { 2 } else { 30 };
@@ -1167,6 +1178,7 @@ mod tests {
             puncturing: Puncturing::none(),
             ..punctured.clone()
         };
+        let laddered = unpunctured.clone().with_b(64);
         let channels = [
             (NoiseModel::Awgn { snr_db: 4.0 }, Modulation::Symbols),
             (NoiseModel::Awgn { snr_db: 10.0 }, Modulation::Symbols),
@@ -1198,7 +1210,8 @@ mod tests {
         };
         let payload: Vec<u8> = (0u8..30).collect(); // 5 blocks of 6 bytes
         let (mut attempts, mut shed, mut rejected) = (0, 0, 0);
-        for p in [&punctured, &unpunctured] {
+        let (mut ladder_attempts, mut escalations) = (0, 0);
+        for p in [&punctured, &unpunctured, &laddered] {
             for (noise, modulation) in channels {
                 let cfg = TransferConfig {
                     modulation,
@@ -1212,6 +1225,12 @@ mod tests {
                     for svc_cfg in [ServiceConfig::default(), few_sessions, short_queue] {
                         let inline = inline_transfer(p, &payload, cfg, svc_cfg, link());
                         attempts += inline.decode_attempts;
+                        if p == &laddered {
+                            ladder_attempts += inline.decode_attempts;
+                            escalations += inline.escalations;
+                        } else {
+                            assert_eq!(inline.escalations, 0, "{ctx}: the ladder is off");
+                        }
                         for threads in [1, 2, 3] {
                             let svc = DecodeService::new(threads, svc_cfg);
                             let mut receiver =
@@ -1241,9 +1260,15 @@ mod tests {
         }
         eprintln!(
             "pooled = inline: {attempts} inline attempts matched; \
+             {escalations} of {ladder_attempts} laddered attempts escalated; \
              {shed} sessions shed, {rejected} submits rejected"
         );
         assert!(attempts > 0);
+        assert!(escalations > 0, "the ladder never escalated");
+        assert!(
+            escalations < ladder_attempts,
+            "the B/16 rung never decoded a block"
+        );
         assert!(shed > 0, "open_session was never refused");
         assert!(rejected > 0, "submit was never refused");
     }
