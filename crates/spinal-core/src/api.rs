@@ -46,12 +46,17 @@
 //! | request | resolves to |
 //! |---------|-------------|
 //! | symbols | workspace decode |
-//! | symbols + `cache` | incremental [`TableCache`] re-decode |
+//! | symbols + `cache` | incremental [`TableCache`] re-decode (exact profile) |
 //! | bits | workspace Hamming decode |
 //!
-//! **`cache` is a no-op for bits.** A [`TableCache`] holds per-symbol
-//! branch-metric tables; the Hamming metric has no tables to cache, so
-//! a cache supplied with [`RxObservations::Bits`] is left untouched.
+//! **`cache` serves the exact profile only.** A [`TableCache`] holds
+//! per-symbol `f64` branch-metric tables. The Hamming metric has no
+//! tables to cache, so a cache supplied with [`RxObservations::Bits`] is
+//! left untouched. A [`MetricProfile::Quantized`](crate::MetricProfile)
+//! decode leaves it untouched too: its decode-wide scale changes with
+//! every new observation, so every attempt requantizes every table, and
+//! building them from the buffer in one pass costs less than syncing a
+//! cache and quantizing from it.
 //!
 //! A request decodes one block on the calling thread. To decode many
 //! blocks across cores, hand them whole to a
@@ -140,8 +145,11 @@ impl<'a> DecodeRequest<'a> {
     /// Fold in only the observations received since the previous decode
     /// through this cache (the §7.1 rateless attempt loop) instead of
     /// rebuilding every branch-metric table from the whole buffer.
-    /// Bit-identical to the uncached decode. No-op for
-    /// [`RxObservations::Bits`] (the Hamming metric builds no tables).
+    /// Bit-identical to the uncached decode. Serves the exact profile: a
+    /// no-op for [`RxObservations::Bits`] (the Hamming metric builds no
+    /// tables) and for quantized decoders, which build their tables
+    /// from the buffer in one pass on every attempt (see the
+    /// [module docs](self)).
     pub fn cache(mut self, cache: &'a mut TableCache) -> Self {
         self.cache = Some(cache);
         self

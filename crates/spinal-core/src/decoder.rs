@@ -19,9 +19,11 @@
 //! Committed decisions are recorded in an append-only arena of
 //! `(parent, edge)` records, so memory for history is `O(B·n/k)` per
 //! attempt rather than the full tree. The decoder rebuilds its tree from
-//! the receive buffer on every attempt (§7.1) — though the *branch-metric
-//! tables* themselves are additive over observations and can be carried
-//! across attempts through a [`TableCache`].
+//! the receive buffer on every attempt (§7.1) — though the exact
+//! profile's *branch-metric tables* are additive over observations and
+//! can be carried across attempts through a [`TableCache`]. (The
+//! quantized profile's tables share one decode-wide scale, so they are
+//! built afresh from the buffer each attempt; see [`crate::quant`].)
 //!
 //! # Metric profiles
 //!
@@ -50,9 +52,9 @@
 //!
 //! 1. run a `B/16` beam over the attempt's tables, and return its
 //!    candidate if the check accepts it;
-//! 2. otherwise run the configured `B` over the same tables (synced and
-//!    quantized once), which is exactly the decode without a ladder,
-//!    and mark the result [`escalated`](DecodeResult::escalated).
+//! 2. otherwise run the configured `B` over the same tables (built or
+//!    synced once per attempt), which is exactly the decode without a
+//!    ladder, and mark the result [`escalated`](DecodeResult::escalated).
 //!
 //! Every entry point — symbols, symbols with a [`TableCache`], and bits,
 //! under both profiles — goes through the one ladder helper, so
@@ -450,28 +452,38 @@ fn leaf_before<C: CostKind>(a: &(C, u32, u64), b: &(C, u32, u64)) -> bool {
         == Ordering::Less
 }
 
+/// Write one received symbol's `[I table | Q table]` branch metrics
+/// into `out` (`2m` entries for `m` levels). The one expression every
+/// table builder uses — the exact profile's per-step path and
+/// [`TableCache`], and the quantized profile's
+/// [`QuantTables::build`] — so their tables agree bit for bit.
+#[inline]
+pub(crate) fn observation_tables(levels: &[f64], e: &RxEntry, out: &mut [f64]) {
+    let z = e.y * e.h.conj();
+    let h2 = e.h.norm_sq();
+    let y2 = e.y.norm_sq();
+    let (ti, tq) = out.split_at_mut(levels.len());
+    // The constant |y|² folds into the I table.
+    for ((i, q), &lv) in ti.iter_mut().zip(tq).zip(levels) {
+        *i = finite_or_inf(h2 * lv * lv - 2.0 * z.re * lv + y2);
+        *q = finite_or_inf(h2 * lv * lv - 2.0 * z.im * lv);
+    }
+}
+
 /// Build the per-entry `[I table, Q table]` branch-metric tables for a
 /// batch of received symbols, appending to `tables` and recording each
-/// entry's RNG index in `rngs`. One shared implementation so the
-/// per-step path and the incremental [`TableCache`] produce bitwise
-/// identical tables.
+/// entry's RNG index in `rngs`.
 pub(crate) fn build_symbol_tables(
     levels: &[f64],
     entries: &[RxEntry],
     tables: &mut Vec<f64>,
     rngs: &mut Vec<u32>,
 ) {
-    for e in entries {
-        let z = e.y * e.h.conj();
-        let h2 = e.h.norm_sq();
-        let y2 = e.y.norm_sq();
-        // The constant |y|² folds into the I table.
-        for &lv in levels {
-            tables.push(finite_or_inf(h2 * lv * lv - 2.0 * z.re * lv + y2));
-        }
-        for &lv in levels {
-            tables.push(finite_or_inf(h2 * lv * lv - 2.0 * z.im * lv));
-        }
+    let tab = 2 * levels.len();
+    let start = tables.len();
+    tables.resize(start + entries.len() * tab, 0.0);
+    for (e, out) in entries.iter().zip(tables[start..].chunks_exact_mut(tab)) {
+        observation_tables(levels, e, out);
         rngs.push(e.rng_index);
     }
 }
@@ -729,9 +741,9 @@ fn beam_search<C: CostKind, S: MetricSource<C>>(
 }
 
 /// Reusable decode buffers: the frontier double buffers (structure of
-/// arrays, one per metric profile), branch-metric tables (exact scratch
-/// and the quantized image), selection scratch, and the committed
-/// history arena.
+/// arrays, one per metric profile), branch-metric tables (the exact
+/// profile's per-step scratch and the quantized profile's
+/// [`QuantTables`]), selection scratch, and the committed history arena.
 ///
 /// A workspace is parameter- and profile-agnostic — buffers grow to fit
 /// whatever decode uses them — and intentionally cheap to create empty.
@@ -747,9 +759,8 @@ pub struct DecodeWorkspace {
     rngs: Vec<u32>,
     key_min: Vec<f64>,
     qkey_min: Vec<u32>,
-    // Quantized-profile scratch: freshly prepared exact tables (when no
-    // cache is supplied) and their quantized image.
-    prep: SymbolTables,
+    // Quantized-profile tables, built from the receive buffer on every
+    // attempt.
     quant: QuantTables,
     // Selection scratch + committed root advancements, shared across
     // profiles.
@@ -971,16 +982,7 @@ impl BubbleDecoder {
                     self.run_beam(&mut src, &mut sc, b, (1.0, 0.0))
                 })
             }
-            MetricProfile::Quantized => {
-                // Prepare exact tables for the whole buffer, then
-                // quantize; determinism needs no cache contract here
-                // because the tables are rebuilt from `rx` every call.
-                let ns = self.params.num_spines();
-                ws.prep.reset(ns);
-                ws.prep.sync(self.levels(), rx);
-                ws.quant.rebuild(&ws.prep, self.levels().len());
-                self.climb(|b| self.decode_quant_prepared(ws, b))
-            }
+            MetricProfile::Quantized => self.decode_quant_symbols(rx, ws),
         }
     }
 
@@ -999,9 +1001,14 @@ impl BubbleDecoder {
 
     /// The incremental-table decode — the computation every
     /// symbol-plus-cache form of [`DecodeRequest`](crate::DecodeRequest)
-    /// resolves to: each call folds in only the observations received
-    /// since the previous call through `cache` (the §7.1 attempt loop),
-    /// bit-identical to the uncached decode under both profiles.
+    /// resolves to, bit-identical to the uncached decode under both
+    /// profiles. Under the exact profile each call folds in only the
+    /// observations received since the previous call through `cache`
+    /// (the §7.1 attempt loop). The quantized profile leaves `cache`
+    /// untouched: its decode-wide scale changes with every new
+    /// observation, so each attempt requantizes every table anyway, and
+    /// the one-pass [`QuantTables::build`] from the buffer costs less
+    /// than syncing the cache and quantizing from it.
     pub(crate) fn decode_cached_impl(
         &self,
         rx: &RxSymbols,
@@ -1009,24 +1016,27 @@ impl BubbleDecoder {
         ws: &mut DecodeWorkspace,
     ) -> DecodeResult {
         assert_eq!(rx.n_spines(), self.params.num_spines());
-        let m = self.levels().len();
-        let st = cache.sync(self.levels(), rx);
         match self.profile {
             MetricProfile::Exact => {
                 let c = self.c_bits();
                 let mut src = CachedSymbols {
-                    st,
-                    m,
+                    st: cache.sync(self.levels(), rx),
+                    m: self.levels().len(),
                     i_shift: 32 - c,
                     q_shift: 16 - c,
                 };
                 self.climb(|b| self.run_beam(&mut src, &mut ws.exact_parts().0, b, (1.0, 0.0)))
             }
-            MetricProfile::Quantized => {
-                ws.quant.rebuild(st, m);
-                self.climb(|b| self.decode_quant_prepared(ws, b))
-            }
+            MetricProfile::Quantized => self.decode_quant_symbols(rx, ws),
         }
+    }
+
+    /// The quantized symbol decode every symbol entry point shares:
+    /// build the attempt's tables from `rx` in one pass, then climb the
+    /// ladder over them.
+    fn decode_quant_symbols(&self, rx: &RxSymbols, ws: &mut DecodeWorkspace) -> DecodeResult {
+        ws.quant.build(self.levels(), rx);
+        self.climb(|b| self.decode_quant_prepared(ws, b))
     }
 
     /// The [beam ladder](self#beam-ladder) every entry point goes
@@ -1819,11 +1829,8 @@ mod tests {
     fn generic_quant_decode(dec: &BubbleDecoder, rx: &RxSymbols) -> DecodeResult {
         let m = dec.levels().len();
         let c = dec.c_bits();
-        let mut prep = SymbolTables::default();
-        prep.reset(dec.params_ref().num_spines());
-        prep.sync(dec.levels(), rx);
         let mut quant = QuantTables::new();
-        quant.rebuild(&prep, m);
+        quant.build(dec.levels(), rx);
         let mut src = PreparedSymbols::<u32> {
             tables: &quant.tables,
             rngs: &quant.rngs,
@@ -2078,198 +2085,90 @@ mod profiling {
     use super::*;
     use crate::api::DecodeRequest;
     use crate::encoder::Encoder;
-    use crate::puncturing::Schedule;
+    use crate::framing::FrameBuilder;
+    use crate::puncturing::{Puncturing, Schedule};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use spinal_channel::{AwgnChannel, Channel};
+    use std::hint::black_box;
     use std::time::Instant;
 
+    /// The stage split of one transport attempt: n = 256, k = 4, one
+    /// unpunctured pass at 20 dB, quantized, on a warm workspace. Each
+    /// stage is timed on its own, per block, as the best of 5 sweeps
+    /// over 256 framed blocks. Run with
+    /// `cargo test --release -p spinal-core --lib phase_timings -- --ignored --nocapture`.
     #[test]
     #[ignore = "manual profiling aid"]
     fn phase_timings() {
-        let p = CodeParams::default().with_n(256).with_b(256);
+        const BLOCKS: usize = 256;
+        const SWEEPS: usize = 5;
+        let p = CodeParams::default()
+            .with_n(256)
+            .with_b(256)
+            .with_puncturing(Puncturing::none());
+        let frames = FrameBuilder::new(p.n);
         let mut rng = StdRng::seed_from_u64(2);
-        let msg = Message::random(p.n, || rng.gen());
-        let mut enc = Encoder::new(&p, &msg);
-        let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
-        let mut rx = RxSymbols::new(schedule.clone());
-        let mut ch = AwgnChannel::new(15.0, 3);
-        rx.push(&ch.transmit(&enc.next_symbols(2 * schedule.symbols_per_pass())));
-
-        let dec = BubbleDecoder::new(&p);
-        let qdec = BubbleDecoder::new(&p).with_profile(MetricProfile::Quantized);
-        let mut ws = DecodeWorkspace::new();
-        // Warm up.
-        for _ in 0..3 {
-            DecodeRequest::new(&dec, &rx).workspace(&mut ws).decode();
-            DecodeRequest::new(&qdec, &rx).workspace(&mut ws).decode();
-        }
-        let time = |f: &mut dyn FnMut()| {
-            let t0 = Instant::now();
-            let iters = 20;
-            for _ in 0..iters {
-                f();
-            }
-            t0.elapsed().as_secs_f64() / iters as f64 * 1e3
-        };
-        let exact = time(&mut || {
-            DecodeRequest::new(&dec, &rx).workspace(&mut ws).decode();
-        });
-        let quant = time(&mut || {
-            DecodeRequest::new(&qdec, &rx).workspace(&mut ws).decode();
-        });
-        // Table prep + quantize alone.
-        let ns = p.num_spines();
-        let levels = dec.levels().to_vec();
-        let prep = time(&mut || {
-            ws.prep.reset(ns);
-            ws.prep.sync(&levels, &rx);
-        });
-        let quantize = time(&mut || {
-            ws.quant.rebuild(&ws.prep, levels.len());
-        });
-        // Selection cost on realistic key arrays.
-        let n_keys = p.b << p.k;
-        let fkeys: Vec<f64> = (0..n_keys)
-            .map(|i| ((i * 2654435761) % 100000) as f64)
+        let payload: Vec<u8> = (0..BLOCKS * frames.payload_bits() / 8)
+            .map(|_| rng.gen())
             .collect();
-        let qkeys: Vec<u32> = fkeys.iter().map(|&v| v as u32).collect();
-        let mut order = Vec::new();
-        let mut scratch = Vec::new();
-        let sel_f = time(&mut || {
-            for _ in 0..64 {
-                select_keys(&fkeys, p.b, &mut order);
-            }
+        let mut ch = AwgnChannel::new(20.0, 3);
+        let rxs: Vec<RxSymbols> = frames
+            .build(&payload)
+            .iter()
+            .map(|msg| {
+                let mut enc = Encoder::new(&p, msg);
+                let mut rx = RxSymbols::new(Schedule::new(p.num_spines(), p.tail, p.puncturing));
+                rx.push(&ch.transmit(&enc.next_symbols(p.symbols_per_pass())));
+                rx
+            })
+            .collect();
+        let dec = BubbleDecoder::new(&p).with_profile(MetricProfile::Quantized);
+        let levels = dec.levels().to_vec();
+        let mut ws = DecodeWorkspace::new();
+        let decoded: Vec<Message> = rxs
+            .iter()
+            .map(|rx| {
+                DecodeRequest::new(&dec, rx)
+                    .workspace(&mut ws)
+                    .decode()
+                    .message
+            })
+            .collect();
+
+        // Per-block µs of `stage`, best of the sweeps; `prepare` runs
+        // untimed before each block's stage.
+        let mut per_block =
+            |prepare: &mut dyn FnMut(&RxSymbols, &mut DecodeWorkspace),
+             stage: &mut dyn FnMut(&RxSymbols, &mut DecodeWorkspace)| {
+                (0..SWEEPS)
+                    .map(|_| {
+                        let mut total = 0.0;
+                        for rx in &rxs {
+                            prepare(rx, &mut ws);
+                            let t0 = Instant::now();
+                            stage(rx, &mut ws);
+                            total += t0.elapsed().as_secs_f64();
+                        }
+                        total / BLOCKS as f64 * 1e6
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            };
+        let mut build = |rx: &RxSymbols, ws: &mut DecodeWorkspace| ws.quant.build(&levels, rx);
+        let build_us = per_block(&mut |_, _| {}, &mut build);
+        let rung_us = per_block(&mut build, &mut |_, ws| {
+            black_box(dec.decode_quant_prepared(ws, p.b / 16));
         });
-        let sel_q = time(&mut || {
-            for _ in 0..64 {
-                radix_select_keys(&qkeys, p.b, &mut order, &mut scratch);
-            }
+        let full_us = per_block(&mut build, &mut |_, ws| {
+            black_box(dec.decode_quant_prepared(ws, p.b));
         });
-        // Expansion-only (no selection): one expand on a full frontier.
-        let mut fr = Frontier::<f64>::default();
-        fr.reset_root(p.s0);
-        // grow to B leaves
-        let mut qfr = Frontier::<u32>::default();
-        qfr.reset_root(p.s0);
-        let mut tables = Vec::new();
-        let mut rngs = Vec::new();
-        build_symbol_tables(&levels, rx.spine_entries(10), &mut tables, &mut rngs);
-        let m = levels.len();
-        let metric = StepMetric::Symbols {
-            rngs: &rngs,
-            tables: &tables,
-            m,
-            i_shift: 32 - 6,
-            q_shift: 16 - 6,
-        };
-        // fill frontiers with B leaves
-        for _ in 0..2 {
-            fr.expand(p.hash, p.k, &metric);
-            fr.states.truncate(p.b);
-            fr.costs.truncate(p.b);
-            fr.trees.truncate(p.b);
-            fr.paths.truncate(p.b);
-        }
-        ws.quant.rebuild(&ws.prep, m);
-        let (lo, hi) = ws.quant.spans[10];
-        let qmetric = StepMetric::Symbols {
-            rngs: &ws.quant.rngs[lo as usize..hi as usize],
-            tables: &ws.quant.tables[lo as usize * 2 * m..hi as usize * 2 * m],
-            m,
-            i_shift: 32 - 6,
-            q_shift: 16 - 6,
-        };
-        for _ in 0..2 {
-            qfr.expand(p.hash, p.k, &qmetric);
-            qfr.states.truncate(p.b);
-            qfr.costs.truncate(p.b);
-            qfr.trees.truncate(p.b);
-            qfr.paths.truncate(p.b);
-        }
-        let exp_f = time(&mut || {
-            for _ in 0..64 {
-                fr.expand(p.hash, p.k, &metric);
-                fr.states.truncate(p.b);
-                fr.costs.truncate(p.b);
-                fr.trees.truncate(p.b);
-                fr.paths.truncate(p.b);
-            }
+        let mut next = decoded.iter().cycle();
+        let crc_us = per_block(&mut |_, _| {}, &mut |_, _| {
+            black_box(frames.validate(next.next().expect("cycled")));
         });
-        let exp_q = time(&mut || {
-            for _ in 0..64 {
-                qfr.expand(p.hash, p.k, &qmetric);
-                qfr.states.truncate(p.b);
-                qfr.costs.truncate(p.b);
-                qfr.trees.truncate(p.b);
-                qfr.paths.truncate(p.b);
-            }
-        });
-        // d=1 kernel phase timings at f=256, ef=4096, L=2 obs.
-        let f = p.b;
-        let ef = f << p.k;
-        let states: Vec<u32> = (0..f as u32).map(|i| i.wrapping_mul(0x9E3779B9)).collect();
-        let mut pfx_parent = vec![0u32; f];
-        let mut child_states = vec![0u32; ef];
-        let mut pfx_child = vec![0u32; ef];
-        let mut words = vec![0u32; ef];
-        let mut child_costs = vec![0u32; ef];
-        let spine_hash = time(&mut || {
-            for _ in 0..64 {
-                p.hash.prefix_many(&states, &mut pfx_parent);
-                for e in 0..16usize {
-                    p.hash.finish_many(
-                        &pfx_parent,
-                        e as u32,
-                        &mut child_states[e * f..(e + 1) * f],
-                    );
-                }
-            }
-        });
-        let child_prefix = time(&mut || {
-            for _ in 0..64 {
-                p.hash.prefix_many(&child_states, &mut pfx_child);
-            }
-        });
-        let obs_finish = time(&mut || {
-            for _ in 0..64 {
-                for rng in 0..2u32 {
-                    p.hash.finish_many(&pfx_child, rng, &mut words);
-                }
-            }
-        });
-        let qt = &ws.quant.tables[..2 * m];
-        let (ti, tq) = qt.split_at(m);
-        let gather = time(&mut || {
-            for _ in 0..64 {
-                for _obs in 0..2 {
-                    for (cost, &word) in child_costs.iter_mut().zip(&words) {
-                        *cost = cost.saturating_add(crate::quant::pair_delta(
-                            ti[(word >> 26) as usize],
-                            tq[(word >> 10) as usize & (m - 1)],
-                        ));
-                    }
-                }
-            }
-        });
-        let mut scratch = Vec::new();
-        let thresh = time(&mut || {
-            for _ in 0..64 {
-                crate::quant::radix_threshold(&child_costs, p.b, &mut scratch, None);
-            }
-        });
-        println!("64x d1 spine hash {spine_hash:8.3} ms");
-        println!("64x d1 child pfx  {child_prefix:8.3} ms");
-        println!("64x d1 obs finish {obs_finish:8.3} ms");
-        println!("64x d1 gather     {gather:8.3} ms");
-        println!("64x d1 threshold  {thresh:8.3} ms");
-        println!("exact decode      {exact:8.3} ms");
-        println!("quant decode      {quant:8.3} ms");
-        println!("table prep        {prep:8.3} ms");
-        println!("quantize          {quantize:8.3} ms");
-        println!("64x select f64    {sel_f:8.3} ms");
-        println!("64x select radix  {sel_q:8.3} ms");
-        println!("64x expand f64    {exp_f:8.3} ms");
-        println!("64x expand u32    {exp_q:8.3} ms");
+        println!("fused table build {build_us:9.2} us/block");
+        println!("B/16 beam         {rung_us:9.2} us/block");
+        println!("B = 256 beam      {full_us:9.2} us/block");
+        println!("block CRC         {crc_us:9.2} us/block");
     }
 }

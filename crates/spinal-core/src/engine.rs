@@ -32,7 +32,7 @@
 
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
 use crate::rx::RxSymbols;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -390,6 +390,13 @@ impl DecodeEngine {
     /// Whether this engine runs a worker pool (`threads > 1`) or inline.
     pub(crate) fn is_pooled(&self) -> bool {
         self.pool.is_some()
+    }
+
+    /// The workspace inline decodes run through: the service layer
+    /// locks it to run a session job inline, as a pooled worker runs
+    /// one on its own.
+    pub(crate) fn inline_workspace(&self) -> MutexGuard<'_, DecodeWorkspace> {
+        self.ws.lock()
     }
 
     /// Run an arbitrary closure on a pool worker, returning `false` (and

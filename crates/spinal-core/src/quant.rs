@@ -18,6 +18,16 @@
 //!   weighted relative to each other — a deeply faded symbol still
 //!   contributes little — which is what makes quantized BLER track the
 //!   exact profile within statistical slack.
+//! * **One pass from the receive buffer, every attempt.** The shared
+//!   scale depends on every table, so one new observation can move it
+//!   and requantize every entry. Each attempt therefore builds its
+//!   tables afresh (`QuantTables::build`): one walk over the buffer
+//!   writes the exact entries into a flat `f64` slab while tracking the
+//!   per-table minima and the range, then one pass quantizes the slab.
+//!   The exact profile's incremental
+//!   [`TableCache`](crate::TableCache) would save only the `f64`
+//!   entries, and syncing it cost more than this fused build on every
+//!   attempt measured, so a quantized decode leaves the cache untouched.
 //! * **Saturation, never wrap**: the `+∞` clamp of a degenerate
 //!   observation becomes the [`Q_INF`] sentinel; accumulation widens it
 //!   to `u32::MAX` and every add saturates, so a broken observation
@@ -40,6 +50,9 @@
 //! profile**: equivalence is statistical, enforced by the oracle-grid
 //! parity test against the PR 3 analytic bounds.
 
+use crate::decoder::observation_tables;
+use crate::rx::RxSymbols;
+#[cfg(test)]
 use crate::tables::SymbolTables;
 
 /// Selects how the bubble decoder computes and compares path metrics.
@@ -95,6 +108,9 @@ pub struct QuantTables {
     /// overflow, the decode kernels skip the pin-and-saturate logic
     /// entirely (identical sums, fewer ops).
     pub(crate) has_inf: bool,
+    /// The exact `f64` entries the `u16` slab is quantized from, laid
+    /// out like it (pass-1 scratch kept for reuse across attempts).
+    exact: Vec<f64>,
     /// Per-table minima scratch kept for reuse across attempts.
     mins: Vec<f64>,
 }
@@ -112,14 +128,102 @@ impl QuantTables {
         (self.scale, self.offset)
     }
 
-    /// Rebuild this quantized table set from exact per-spine tables
-    /// (clears previous contents; buffers are reused).
+    /// Build this quantized table set straight from the receive buffer
+    /// (clears previous contents; buffers are reused and only grow).
     ///
-    /// Pass 1 finds each table's finite minimum and the widest finite
-    /// range across all tables; pass 2 writes
-    /// `q = round((v − t_min)/scale)` clamped to [`Q_MAX_FINITE`], with
-    /// `+∞` entries becoming [`Q_INF`]. With a positive shared scale the
-    /// map is monotone within every table.
+    /// Pass 1 walks the buffer once, spine by spine in receive order,
+    /// writing each observation's `[I | Q]` branch metrics into the flat
+    /// `f64` slab, and records each table's finite minimum, the widest
+    /// finite range across all tables and the sum of minima. Pass 2
+    /// writes `q = round((v − t_min)/scale)` clamped to [`Q_MAX_FINITE`]
+    /// into the `u16` slab, with `+∞` entries becoming [`Q_INF`]. With a
+    /// positive shared scale the map is monotone within every table.
+    ///
+    /// The entries, minima, scale, offset and sentinels are bit-identical
+    /// to quantizing [`SymbolTables`](crate::tables::SymbolTables) built
+    /// from the same buffer: the same expressions, with the offset summed
+    /// in the same table order.
+    pub(crate) fn build(&mut self, levels: &[f64], rx: &RxSymbols) {
+        let m = levels.len();
+        let tab = 2 * m; // entries per observation (I table + Q table)
+        let ns = rx.n_spines();
+        self.spans.clear();
+        let mut n_obs = 0u32;
+        for s in 0..ns {
+            let lo = n_obs;
+            n_obs += rx.spine_entries(s).len() as u32;
+            self.spans.push((lo, n_obs));
+        }
+        let n_obs = n_obs as usize;
+        self.exact.resize(n_obs * tab, 0.0);
+        self.tables.resize(n_obs * tab, 0);
+        self.rngs.resize(n_obs, 0);
+        self.mins.resize(2 * n_obs, 0.0);
+
+        // Pass 1: exact entries, per-table finite minima and the global
+        // finite range.
+        let mut max_range = 0.0f64;
+        let mut offset = 0.0f64;
+        let entries = (0..ns).flat_map(|s| rx.spine_entries(s));
+        let slots = self
+            .exact
+            .chunks_exact_mut(tab)
+            .zip(self.mins.chunks_exact_mut(2))
+            .zip(&mut self.rngs);
+        for (e, ((exact, mins), rng)) in entries.zip(slots) {
+            *rng = e.rng_index;
+            observation_tables(levels, e, exact);
+            for (table, t_min) in exact.chunks_exact(m).zip(mins) {
+                let (lo, hi) = finite_bounds(table);
+                // An all-∞ table contributes nothing to the offset; its
+                // entries all become the sentinel below.
+                *t_min = if lo.is_finite() { lo } else { 0.0 };
+                if hi.is_finite() {
+                    max_range = max_range.max(hi - *t_min);
+                }
+                offset += *t_min;
+            }
+        }
+        let scale = if max_range > 0.0 {
+            max_range / f64::from(Q_MAX_FINITE)
+        } else {
+            1.0
+        };
+        let inv = 1.0 / scale;
+        self.scale = scale;
+        self.offset = offset;
+
+        // Pass 2: quantize the slab, table by table.
+        let mut has_inf = false;
+        let tables = self
+            .tables
+            .chunks_exact_mut(m)
+            .zip(self.exact.chunks_exact(m));
+        for ((out, table), &t_min) in tables.zip(&self.mins) {
+            for (q, &v) in out.iter_mut().zip(table) {
+                let finite = v < f64::INFINITY;
+                // ≤ Q_MAX_FINITE by construction of the scale; the clamp
+                // guards float round-off at the top of the range from
+                // colliding with the sentinel. It is a compare and select
+                // rather than `f64::min`, which it equals here (a NaN
+                // clamps to the maximum under both) at less than half the
+                // cost of this pass. `+0.5, truncate` is round-half-away-
+                // from-zero for non-negative inputs (v ≥ t_min) without
+                // the libm round call.
+                let x = (v - t_min) * inv + 0.5;
+                let scaled = if x < Q_MAX_F64 { x } else { Q_MAX_F64 } as u16;
+                *q = if finite { scaled } else { Q_INF };
+                has_inf |= !finite;
+            }
+        }
+        self.has_inf = has_inf;
+    }
+
+    /// The reference [`QuantTables::build`] is held to: quantize exact
+    /// per-spine tables already built by [`SymbolTables::sync`], with
+    /// one pass for the minima and range and one for the `u16` entries.
+    /// Test-only; decodes build from the receive buffer directly.
+    #[cfg(test)]
     pub(crate) fn rebuild(&mut self, st: &SymbolTables, m: usize) {
         self.tables.clear();
         self.rngs.clear();
@@ -189,6 +293,48 @@ impl QuantTables {
             debug_assert_eq!(spine_tables.len(), (obs - lo) as usize * tab);
         }
     }
+}
+
+/// [`Q_MAX_FINITE`] as the clamp of the quantizer's `f64` arithmetic.
+const Q_MAX_F64: f64 = Q_MAX_FINITE as f64;
+
+/// The finite minimum of one branch-metric table (`+∞` when no entry is
+/// finite) and its finite maximum (`−∞` when none is). Table entries are
+/// finite or `+∞`, never NaN, so the minimum may take `+∞` entries in
+/// and plain compares suffice. Four independent lanes let the compiler
+/// vectorise both folds; min and max are exact, so the lane split
+/// changes no result (at most the sign of a zero minimum, which no
+/// output of [`QuantTables::build`] can tell apart).
+#[inline]
+fn finite_bounds(table: &[f64]) -> (f64, f64) {
+    const LANES: usize = 4;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut fold = |j: usize, v: f64| {
+        lo[j] = if v < lo[j] { v } else { lo[j] };
+        let finite = if v < f64::INFINITY {
+            v
+        } else {
+            f64::NEG_INFINITY
+        };
+        hi[j] = if finite > hi[j] { finite } else { hi[j] };
+    };
+    let mut chunks = table.chunks_exact(LANES);
+    for chunk in chunks.by_ref() {
+        for (j, &v) in chunk.iter().enumerate() {
+            fold(j, v);
+        }
+    }
+    for &v in chunks.remainder() {
+        fold(0, v);
+    }
+    let lo = lo
+        .into_iter()
+        .fold(f64::INFINITY, |a, b| if b < a { b } else { a });
+    let hi = hi
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |a, b| if b > a { b } else { a });
+    (lo, hi)
 }
 
 /// The `u32` cost delta of one observation's I/Q table-entry pair:
@@ -386,9 +532,14 @@ fn pick_bucket(hist: &[u32; 256], need: &mut usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::build_symbol_tables;
-    use crate::rx::RxEntry;
-    use spinal_channel::Complex;
+    use crate::bits::Message;
+    use crate::encoder::Encoder;
+    use crate::params::CodeParams;
+    use crate::puncturing::{Puncturing, Schedule};
+    use crate::symbols::SymbolGen;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use spinal_channel::{AwgnChannel, Channel, Complex, RayleighChannel};
 
     fn st_from_tables(tables: Vec<Vec<f64>>, m: usize) -> SymbolTables {
         let rngs = tables
@@ -478,30 +629,237 @@ mod tests {
 
     #[test]
     fn quantized_tables_mirror_real_build_layout() {
-        // Quantize tables produced by the real table builder and check
-        // spans, sizes, and that ∞-clamped entries survive as Q_INF.
+        // Build from a real receive buffer and check spans, sizes, and
+        // that ∞-clamped entries survive as Q_INF.
         let levels = [-1.0, -0.5, 0.5, 1.0];
-        let entries = [
-            RxEntry {
-                rng_index: 0,
-                y: Complex::new(0.3, -0.2),
-                h: Complex::ONE,
-            },
-            RxEntry {
-                rng_index: 1,
-                y: Complex::new(1.0, 1.0),
-                h: Complex::new(f64::INFINITY, 0.0),
-            },
-        ];
-        let mut st = SymbolTables::default();
-        st.reset(1);
-        build_symbol_tables(&levels, &entries, &mut st.tables[0], &mut st.rngs[0]);
+        let mut rx = RxSymbols::new(Schedule::new(1, 0, Puncturing::none()));
+        rx.push_with_csi(
+            &[Complex::new(0.3, -0.2), Complex::new(1.0, 1.0)],
+            &[Complex::ONE, Complex::new(f64::INFINITY, 0.0)],
+        );
         let mut q = QuantTables::new();
-        q.rebuild(&st, levels.len());
+        q.build(&levels, &rx);
         assert_eq!(q.spans, vec![(0, 2)]);
+        assert_eq!(q.rngs, vec![0, 1]);
         assert_eq!(q.tables.len(), 2 * 2 * levels.len());
         assert!(q.tables[2 * levels.len()..].iter().all(|&e| e == Q_INF));
         assert!(q.tables[..2 * levels.len()].iter().all(|&e| e < Q_INF));
+        assert!(q.has_inf);
+    }
+
+    /// The fused build's identity oracle: [`QuantTables::build`] must
+    /// equal the reference — [`SymbolTables::sync`] from scratch, then
+    /// [`QuantTables::rebuild`] — field by field: entries, RNG indices,
+    /// spans, the scale and offset bits, and the sentinel flag. `q` is
+    /// reused across calls, so stale buffer contents would show.
+    fn assert_build_is_reference(q: &mut QuantTables, levels: &[f64], rx: &RxSymbols, ctx: &str) {
+        let mut st = SymbolTables::default();
+        st.reset(rx.n_spines());
+        st.sync(levels, rx);
+        let mut want = QuantTables::new();
+        want.rebuild(&st, levels.len());
+        q.build(levels, rx);
+        assert_eq!(q.tables, want.tables, "{ctx}: tables");
+        assert_eq!(q.rngs, want.rngs, "{ctx}: rngs");
+        assert_eq!(q.spans, want.spans, "{ctx}: spans");
+        assert_eq!(q.scale.to_bits(), want.scale.to_bits(), "{ctx}: scale");
+        assert_eq!(q.offset.to_bits(), want.offset.to_bits(), "{ctx}: offset");
+        assert_eq!(q.has_inf, want.has_inf, "{ctx}: has_inf");
+    }
+
+    fn levels_of(p: &CodeParams) -> Vec<f64> {
+        SymbolGen::new(p).constellation().levels().to_vec()
+    }
+
+    fn schedule_of(p: &CodeParams) -> Schedule {
+        Schedule::new(p.num_spines(), p.tail, p.puncturing)
+    }
+
+    #[test]
+    fn build_matches_reference_on_the_decode_corpus() {
+        // The symbol cases of `tests/decode_corpus.rs` — (n, k, passes,
+        // channel, seeds) — built exactly as it builds them, on the
+        // recorded 8-way grid and its unpunctured copy. B and d shape
+        // only the search, not the tables.
+        enum Chan {
+            Awgn(f64),
+            Fading(f64, usize),
+        }
+        let grid = [
+            (64, 4, 2, Chan::Awgn(15.0), 0..6u64),
+            (96, 3, 3, Chan::Awgn(8.0), 0..6),
+            (60, 3, 2, Chan::Awgn(15.0), 0..4),
+            (64, 2, 2, Chan::Awgn(10.0), 0..4),
+            (256, 4, 2, Chan::Awgn(15.0), 0..3),
+            (64, 4, 4, Chan::Fading(25.0, 10), 0..4),
+        ];
+        let mut q = QuantTables::new();
+        for puncturing in [Puncturing::strided8(), Puncturing::none()] {
+            for (n, k, passes, chan, seeds) in &grid {
+                for seed in seeds.clone() {
+                    let p = CodeParams::default()
+                        .with_n(*n)
+                        .with_k(*k)
+                        .with_puncturing(puncturing);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let msg = Message::random(p.n, || rng.gen());
+                    let mut enc = Encoder::new(&p, &msg);
+                    let schedule = schedule_of(&p);
+                    let symbols = passes * schedule.symbols_per_pass();
+                    let mut rx = RxSymbols::new(schedule);
+                    match *chan {
+                        Chan::Awgn(snr) => {
+                            let mut ch = AwgnChannel::new(snr, seed.wrapping_add(1000));
+                            rx.push(&ch.transmit(&enc.next_symbols(symbols)));
+                        }
+                        Chan::Fading(snr, tau) => {
+                            let mut ch = RayleighChannel::new(snr, tau, seed.wrapping_add(1000));
+                            let ys = ch.transmit(&enc.next_symbols(symbols));
+                            let hs: Vec<_> = (0..ys.len()).map(|i| ch.csi(i).unwrap()).collect();
+                            rx.push_with_csi(&ys, &hs);
+                        }
+                    }
+                    let ctx = format!("{}-way n{n} k{k} seed {seed}", puncturing.ways());
+                    assert_build_is_reference(&mut q, &levels_of(&p), &rx, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn build_matches_reference_across_passes_and_snr() {
+        // The transports' shape (n = 256, k = 4): 1–3 passes at 8–20 dB,
+        // unpunctured and 8-way. On the 8-way schedule the buffer also
+        // grows subpass by subpass, the shape of a session's attempts.
+        // Beside the default c = 6, c = 1 gives 2-entry tables, shorter
+        // than one lane group of `finite_bounds`.
+        let mut q = QuantTables::new();
+        for (puncturing, c) in [
+            (Puncturing::none(), 6),
+            (Puncturing::strided8(), 6),
+            (Puncturing::none(), 1),
+        ] {
+            let p = CodeParams::default()
+                .with_n(256)
+                .with_c(c)
+                .with_puncturing(puncturing);
+            let levels = levels_of(&p);
+            for (i, snr) in [8.0, 12.0, 16.0, 20.0].into_iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(i as u64);
+                let msg = Message::random(p.n, || rng.gen());
+                let mut enc = Encoder::new(&p, &msg);
+                let schedule = schedule_of(&p);
+                let pass = schedule.symbols_per_pass();
+                let ys = AwgnChannel::new(snr, 50 + i as u64).transmit(&enc.next_symbols(3 * pass));
+                let mut cuts = vec![pass, 2 * pass, 3 * pass];
+                if puncturing.ways() > 1 {
+                    cuts = schedule.subpass_boundaries(3 * pass);
+                }
+                let mut rx = RxSymbols::new(schedule);
+                let mut have = 0;
+                for cut in cuts {
+                    rx.push(&ys[have..cut]);
+                    have = cut;
+                    let ctx = format!("{}-way c{c} {snr} dB, {cut} symbols", puncturing.ways());
+                    assert_build_is_reference(&mut q, &levels, &rx, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn build_matches_reference_on_every_degenerate_mix() {
+        // Nine kinds of degenerate observation, each as (y, h) pairs.
+        let kinds: [(&str, Vec<(Complex, Complex)>); 9] = [
+            (
+                "h = inf",
+                vec![(Complex::new(0.3, -0.2), Complex::new(f64::INFINITY, 0.0))],
+            ),
+            (
+                "h = NaN",
+                vec![(Complex::new(0.3, -0.2), Complex::new(f64::NAN, 0.1))],
+            ),
+            ("h = 0", vec![(Complex::new(0.7, 0.1), Complex::ZERO)]),
+            ("y = NaN", vec![(Complex::new(f64::NAN, 0.4), Complex::ONE)]),
+            (
+                "y = -inf",
+                vec![(Complex::new(f64::NEG_INFINITY, 0.4), Complex::ONE)],
+            ),
+            // |y|² overflows: the I table is all +∞.
+            (
+                "|y| = 1e200",
+                vec![(Complex::new(1e200, -0.3), Complex::ONE)],
+            ),
+            // Each entry is finite (y² ≈ 1.7e308), but the two I-table
+            // minima overflow the offset sum.
+            (
+                "offset overflows",
+                vec![(Complex::new(1.3e154, 0.0), Complex::ONE); 2],
+            ),
+            // |h|² underflows and h·y vanishes beside |y|²: both tables
+            // are constant (range 0).
+            (
+                "constant table",
+                vec![(Complex::ONE, Complex::new(1e-300, 0.0))],
+            ),
+            // |h|²·lv² overflows at the outer levels only: each table
+            // mixes finite entries with +∞ ones.
+            (
+                "table partly inf",
+                vec![(Complex::new(0.0, 1.0), Complex::new(1.3e154, 0.0))],
+            ),
+        ];
+        let p = CodeParams::default()
+            .with_n(32)
+            .with_puncturing(Puncturing::none());
+        let levels = levels_of(&p);
+        let pass = p.symbols_per_pass();
+        let mut ch = AwgnChannel::new(10.0, 7);
+        let mut enc = Encoder::new(&p, &Message::random(p.n, || 0x5a));
+        let noisy: Vec<(Complex, Complex)> = ch
+            .transmit(&enc.next_symbols(2 * pass))
+            .into_iter()
+            .map(|y| (y, Complex::ONE))
+            .collect();
+        let mut q = QuantTables::new();
+        for subset in 0u32..1 << kinds.len() {
+            let picked: Vec<&(&str, Vec<(Complex, Complex)>)> = kinds
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| subset >> i & 1 == 1)
+                .map(|(_, kind)| kind)
+                .collect();
+            let names: Vec<&str> = picked.iter().map(|(name, _)| *name).collect();
+            // Alone (the empty subset is an empty buffer), then mixed
+            // into two noisy passes at spread-out positions.
+            let alone: Vec<(Complex, Complex)> = picked
+                .iter()
+                .flat_map(|(_, obs)| obs.iter().copied())
+                .collect();
+            let mut mixed = noisy.clone();
+            for (i, obs) in alone.iter().enumerate() {
+                mixed[(7 * i + 3) % noisy.len()] = *obs;
+            }
+            for (shape, obs) in [("alone", &alone), ("mixed", &mixed)] {
+                let (ys, hs): (Vec<Complex>, Vec<Complex>) = obs.iter().copied().unzip();
+                let mut rx = RxSymbols::new(schedule_of(&p));
+                rx.push_with_csi(&ys, &hs);
+                let ctx = format!("{shape} {names:?}");
+                assert_build_is_reference(&mut q, &levels, &rx, &ctx);
+                // Each kind alone reaches the corner it is named for.
+                match (shape, names.as_slice()) {
+                    ("alone", ["|y| = 1e200"]) => assert!(q.has_inf, "{ctx}"),
+                    ("alone", ["offset overflows"]) => assert_eq!(q.offset, f64::INFINITY),
+                    ("alone", ["constant table"]) => assert_eq!(q.scale, 1.0, "{ctx}"),
+                    ("alone", ["table partly inf"]) => {
+                        let i_table = &q.tables[..levels.len()];
+                        assert!(i_table.contains(&Q_INF), "{ctx}");
+                        assert!(i_table.iter().any(|&e| e < Q_INF), "{ctx}");
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]

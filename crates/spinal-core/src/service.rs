@@ -10,11 +10,13 @@
 //! block its own handle:
 //!
 //! * **[`Session`]** — owns the per-block decode state: the receive
-//!   buffer ([`SessionBuffer`]), a [`TableCache`] so each retry folds in
-//!   only the symbols received since the last attempt, a warm
-//!   [`DecodeWorkspace`], and a schedule position. Completion is
-//!   per-session (`submit` → `wait`), so independent callers cannot
-//!   cross-talk.
+//!   buffer ([`SessionBuffer`]), a [`TableCache`] so each exact-profile
+//!   retry folds in only the symbols received since the last attempt,
+//!   and a schedule position. Its attempts run on the engine's per-core
+//!   [`DecodeWorkspace`] (the pooled worker's own, or the inline
+//!   engine's), so a session carries no decode scratch of its own.
+//!   Completion is per-session (`submit` → `wait`), so independent
+//!   callers cannot cross-talk.
 //! * **[`DecodeService`]** — admission control (at most
 //!   [`ServiceConfig::max_sessions`] live sessions, structured
 //!   [`AdmitError`] on shed) and a bounded dispatch queue
@@ -150,8 +152,8 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// A session's receive buffer: complex symbols (AWGN/fading) or hard
-/// bits (BSC). Owned by the session so attempts fold new observations
-/// through the session's [`TableCache`] without cloning the buffer.
+/// bits (BSC). Owned by the session so attempts decode it in place,
+/// without cloning the buffer.
 #[derive(Debug, Clone)]
 pub enum SessionBuffer {
     /// Complex symbol observations ([`RxSymbols`]).
@@ -178,13 +180,12 @@ impl SessionBuffer {
 }
 
 /// The per-session decode resources that travel into a job and back:
-/// the receive buffer, the incremental table cache, and a warm
-/// workspace.
+/// the receive buffer and the incremental table cache. The job decodes
+/// on the workspace of whichever engine thread runs it.
 #[derive(Debug)]
 struct SessionRes {
     buffer: SessionBuffer,
     cache: TableCache,
-    ws: DecodeWorkspace,
     /// Observations already counted into `symbols_folded` metrics.
     folded: usize,
 }
@@ -543,7 +544,6 @@ impl DecodeService {
             res: Some(SessionRes {
                 buffer,
                 cache: TableCache::new(),
-                ws: DecodeWorkspace::new(),
                 folded: 0,
             }),
             position: 0,
@@ -630,8 +630,8 @@ impl ServiceInner {
                 // ends the attempt and frees the in-flight slot (first
                 // resolver wins via the `resolved` latch).
                 self.engine.pool_spawn(
-                    Box::new(move |_ws| {
-                        me.run_job(&run_d);
+                    Box::new(move |ws| {
+                        me.run_job(&run_d, ws);
                         me.dispatch();
                     }),
                     Box::new(move |failure| {
@@ -651,18 +651,19 @@ impl ServiceInner {
                     Some(payload_msg) => {
                         self.fail_job(&d, DecodeFailure::WorkerPanicked { payload_msg })
                     }
-                    None => self.run_job(&d),
+                    None => self.run_job(&d, &mut self.engine.inline_workspace()),
                 }
             }
         }
     }
 
-    /// Decode one attempt and publish its result to the session slot.
+    /// Decode one attempt on `ws`, the running engine thread's
+    /// workspace, and publish its result to the session slot.
     ///
     /// The job rides in `d.held` for the whole decode: a panic unwinds
     /// out of this frame with the resources still parked there, so the
     /// failure continuation can recover them.
-    fn run_job(&self, d: &DispatchedJob) {
+    fn run_job(&self, d: &DispatchedJob, ws: &mut DecodeWorkspace) {
         let (result, job) = {
             let mut guard = d.held.lock();
             let job = guard.as_mut().expect("job present until resolved");
@@ -673,10 +674,8 @@ impl ServiceInner {
             }
             let res = &mut job.res;
             let result = match &mut res.buffer {
-                SessionBuffer::Symbols(rx) => {
-                    job.dec.decode_cached_impl(rx, &mut res.cache, &mut res.ws)
-                }
-                SessionBuffer::Bits(rx) => job.dec.decode_bits_impl(rx, &mut res.ws),
+                SessionBuffer::Symbols(rx) => job.dec.decode_cached_impl(rx, &mut res.cache, ws),
+                SessionBuffer::Bits(rx) => job.dec.decode_bits_impl(rx, ws),
             };
             (result, guard.take().expect("job present until resolved"))
         };
@@ -719,8 +718,10 @@ impl ServiceInner {
     /// Resolve one attempt as a structured failure (a worker panic, or
     /// an injected poison on an inline engine). The failed job has
     /// already unwound, so its resources sit in `held`. The incremental
-    /// cache and workspace are reset (a panic can interrupt a cache
-    /// sync half-way); the receive buffer survives intact.
+    /// cache is reset (a panic can interrupt a cache sync half-way); the
+    /// receive buffer survives intact. The workspace the job decoded on
+    /// was the worker's, and it died with the panicked thread; the
+    /// respawned worker starts a fresh one.
     fn fail_job(&self, d: &DispatchedJob, failure: DecodeFailure) {
         if d.resolved.swap(true, Ordering::SeqCst) {
             return;
@@ -732,7 +733,6 @@ impl ServiceInner {
             .expect("an unresolved job keeps its resources in `held`")
             .res;
         res.cache = TableCache::new();
-        res.ws = DecodeWorkspace::new();
         {
             let mut sl = d.slot.state.lock();
             let mut m = self.metrics.lock();
@@ -759,8 +759,11 @@ impl ServiceInner {
 
 /// One live decode session — the per-block completion handle. Push
 /// observations, `submit` an attempt, `wait` for (or poll) the result,
-/// push more, resubmit: the §7.1 retry loop, with each attempt folding
-/// only the new observations through the session's [`TableCache`].
+/// push more, resubmit: the §7.1 retry loop. Under the exact profile
+/// each attempt folds only the new observations through the session's
+/// [`TableCache`]; a quantized attempt builds its tables from the
+/// buffer in one pass. Either way the attempt runs on the engine's
+/// per-core workspace.
 ///
 /// Dropping a session releases its admission slot; an attempt still in
 /// flight completes as *stale* (discarded, counted — never corrupting

@@ -1,6 +1,8 @@
-//! Prepared branch-metric tables: per-spine exact (`f64`) tables built
-//! once and reused — across decode attempts within a rateless trial, and
-//! as the common source both metric profiles quantize or read from.
+//! Prepared branch-metric tables for the exact profile: per-spine `f64`
+//! tables built once and reused across the decode attempts of a
+//! rateless trial. (The quantized profile builds its `u16` tables from
+//! the receive buffer in one pass per attempt instead; see
+//! [`QuantTables::build`](crate::quant::QuantTables).)
 //!
 //! Branch-metric tables are **additive over observations**: the table
 //! pair of one received symbol depends only on that symbol (and the
@@ -74,6 +76,14 @@ impl SymbolTables {
 /// folds in only the observations received since the previous attempt
 /// instead of rebuilding every table from the whole buffer. Results are
 /// bit-identical to the uncached decode.
+///
+/// The cache serves the [exact profile](crate::MetricProfile::Exact),
+/// whose `f64` tables never change once built. A
+/// [quantized](crate::MetricProfile::Quantized) decode leaves it
+/// untouched: one decode-wide scale maps every table to `u16`, and that
+/// scale moves with every new observation, so each attempt requantizes
+/// every table anyway. Building them straight from the buffer in one
+/// pass costs less than syncing the cache and quantizing from it.
 ///
 /// The cache assumes the receive buffer **grows monotonically** between
 /// calls (the §7.1 shape). Switching to a different buffer, a different

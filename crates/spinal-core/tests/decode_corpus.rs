@@ -178,6 +178,103 @@ const EXPECTED: &[(&str, f64)] = &[
     ("0da5ddd8a01c2e9f", 0.26458027083009833),
 ];
 
+/// (message hex, path cost) of every corpus case under
+/// [`MetricProfile::Quantized`] on the recorded 8-way grid, in `cases()`
+/// order, recorded before the quantized tables were built in one pass
+/// from the receive buffer. [`EXPECTED`] pins only the exact profile;
+/// this pins the quantized decode across commits, cost bits included.
+const EXPECTED_QUANT: &[(&str, f64)] = &[
+    ("53615c027e05dbd8", 1.3245553500401106),
+    ("cfbf19bf2f97fc85", 1.338514722467028),
+    ("c389a64b7dc556bd", 0.8095146509481955),
+    ("0da5ddd8a01c2e9f", 1.4286097239100206),
+    ("ad9b40b928c3a4f5", 1.2211851272785748),
+    ("4a9c190f86b47511", 1.148042762186408),
+    ("53615c027e05dbd84b135010", 14.085550138314597),
+    ("cfbf19bf2f97fc851822eb57", 16.197213440563235),
+    ("c389a64b7dc556bd7add81b0", 14.197463364922424),
+    ("0da5ddd8a01c2e9f8e069333", 17.814187681532005),
+    ("ad9b40b928c3a4f56b2e33be", 19.215016861486543),
+    ("4a9c190f86b47511e2dae8e3", 13.804881312355953),
+    ("53615c027e05dbd0", 1.4487897817130002),
+    ("cfbf19bf2f97fc80", 1.531154174486366),
+    ("c389a64b7dc556b0", 0.9957448332179067),
+    ("0da5ddd8a01c2e90", 1.6043601627763266),
+    ("53615c027e05dbd8", 6.253354813519095),
+    ("cfbf19bf2f97fc85", 6.879015000935732),
+    ("c389a64b7dc556bd", 5.494548900893083),
+    ("0da5ddd8a01c2e9f", 8.180913490543952),
+    (
+        "53615c027e05dbd84b1350101a181066a01d536746210a456f6022a5e80b4063",
+        3.507755374641598,
+    ),
+    (
+        "cfbf19bf2f97fc851822eb57126516288e79f5a443cb28693c9a2ffb9cba97a6",
+        4.46218928394587,
+    ),
+    (
+        "c389a64b7dc556bd7add81b0ace1fa74905e3928a79790d7214e471c5ef698e6",
+        3.709175624085784,
+    ),
+    ("53615c027e05dbd8", 5.0),
+    ("cfbf19bf2f97fc85", 3.0),
+    ("c389a64b7dc556bd", 3.0),
+    ("0da5ddd8a01c2e9f", 7.0),
+    ("ad9b40b928c3a4f5", 6.0),
+    ("4a9c190f86b47511", 1.0),
+    ("53615c027e05dbd8", 0.22256794662396875),
+    ("cfbf19bf2f97fc85", 0.22141805135127018),
+    ("c389a64b7dc556bd", 0.203460766673923),
+    ("0da5ddd8a01c2e9f", 0.2637647131037809),
+];
+
+/// [`EXPECTED_QUANT`] on the unpunctured copy of the grid
+/// (`build_case_with(case, Puncturing::none())`, the transports' shape).
+const EXPECTED_QUANT_UNPUNCTURED: &[(&str, f64)] = &[
+    ("53615c027e05dbd8", 1.3244967933370009),
+    ("cfbf19bf2f97fc85", 1.3380463567383576),
+    ("c389a64b7dc556bd", 0.8093700488734131),
+    ("0da5ddd8a01c2e9f", 1.4286168927543756),
+    ("ad9b40b928c3a4f5", 1.220654938996776),
+    ("4a9c190f86b47511", 1.148493363273504),
+    ("53615c027e05dbd84b135010", 14.085591531118748),
+    ("cfbf19bf2f97fc851822eb57", 16.196739554343388),
+    ("c389a64b7dc556bd7add81b0", 14.197395833340595),
+    ("0da5ddd8a01c2e9f8e069333", 17.812301343352086),
+    ("ad9b40b928c3a4f56b2e33be", 19.213712690568045),
+    ("4a9c190f86b47511e2dae8e3", 13.804592276987668),
+    ("53615c027e05dbd0", 1.4482939741610148),
+    ("cfbf19bf2f97fc80", 1.5316658207237752),
+    ("c389a64b7dc556b0", 0.9959018094603471),
+    ("0da5ddd8a01c2e90", 1.604201282898858),
+    ("53615c027e05dbd8", 6.253290799364437),
+    ("cfbf19bf2f97fc85", 6.878906248058658),
+    ("c389a64b7dc556bd", 5.494584629259786),
+    ("0da5ddd8a01c2e9f", 8.182248022325183),
+    (
+        "53615c027e05dbd84b1350101a181066a01d536746210a456f6022a5e80b4063",
+        3.509340046211495,
+    ),
+    (
+        "cfbf19bf2f97fc851822eb57126516288e79f5a443cb28693c9a2ffb9cba97a6",
+        4.462483274733802,
+    ),
+    (
+        "c389a64b7dc556bd7add81b0ace1fa74905e3928a79790d7214e471c5ef698e6",
+        3.7092872719169385,
+    ),
+    ("53615c027e05dbd8", 5.0),
+    ("cfbf19bf2f97fc85", 3.0),
+    ("c389a64b7dc556bd", 3.0),
+    ("0da5ddd8a01c2e9f", 7.0),
+    ("ad9b40b928c3a4f5", 6.0),
+    ("4a9c190f86b47511", 1.0),
+    ("53615c027e05dbd8", 0.22075833454615332),
+    ("cfbf19bf2f97fc85", 0.2193715012604786),
+    ("c389a64b7dc556bd", 0.20320435641075438),
+    ("0da5ddd8a01c2e9f", 0.264292740662065),
+];
+
 /// A decoder and the consecutive corpus cases that share its parameter
 /// set, each with its serial decode: the shape the engine's batch path
 /// takes (one decoder per batch).
@@ -304,6 +401,39 @@ fn decoder_output_matches_recorded_corpus() {
             "case {i}: cost {} vs recorded {want_cost}",
             out.cost
         );
+    }
+}
+
+/// The quantized profile across commits: the serial decode of every
+/// corpus case, on the recorded grid and its unpunctured copy, must
+/// reproduce [`EXPECTED_QUANT`] and [`EXPECTED_QUANT_UNPUNCTURED`] bit
+/// for bit. `every_path` and the determinism tests above hold the other
+/// paths equal to this decode.
+#[test]
+fn quantized_output_matches_recorded_corpus() {
+    let cases = cases();
+    for (puncturing, expected) in [
+        (Puncturing::strided8(), EXPECTED_QUANT),
+        (Puncturing::none(), EXPECTED_QUANT_UNPUNCTURED),
+    ] {
+        assert_eq!(cases.len(), expected.len(), "corpus size mismatch");
+        for (i, (case, &(want_hex, want_cost))) in cases.iter().zip(expected).enumerate() {
+            let (params, rx) = build_case_with(case, puncturing);
+            let dec = BubbleDecoder::new(&params).with_profile(MetricProfile::Quantized);
+            let out = serial_decode(&dec, &rx);
+            let ctx = format!("{} ways case {i}", puncturing.ways());
+            assert_eq!(
+                hex(out.message.as_bytes()),
+                want_hex,
+                "{ctx}: message drifted"
+            );
+            assert_eq!(
+                out.cost.to_bits(),
+                want_cost.to_bits(),
+                "{ctx}: cost {} vs recorded {want_cost}",
+                out.cost
+            );
+        }
     }
 }
 
