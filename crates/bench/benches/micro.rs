@@ -7,9 +7,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spinal_channel::{AwgnChannel, Channel, Complex};
 use spinal_core::{
-    hash, BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeWorkspace, Encoder,
-    HashKind, Message, MetricProfile, RxSymbols, Schedule,
+    hash, BubbleDecoder, CodeParams, DecodeRequest, DecodeService, DecodeWorkspace, Encoder,
+    HashKind, Message, MetricProfile, RxSymbols, Schedule, ServiceConfig, SessionBuffer,
 };
+use std::sync::Arc;
 
 fn bench_hashes(c: &mut Criterion) {
     let mut g = c.benchmark_group("hash");
@@ -145,10 +146,12 @@ fn throughput_thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Decode-engine throughput: blocks/s for a 16-block batch through
-/// `DecodeEngine::decode_batch_parallel` at several thread budgets.
-/// Rows are stamped with the core count (`"threads"` in BENCH_JSON) so
-/// `bench_guard --mode throughput` can compare scaling across budgets.
+/// Decode throughput: blocks/s for a 16-block batch through
+/// `DecodeService::decode_batch` at several thread budgets. Each
+/// iteration hands the batch a fresh copy of the buffers, as the
+/// batch takes them by value. Rows are stamped with the core count
+/// (`"threads"` in BENCH_JSON) so `bench_guard --mode throughput` can
+/// compare scaling across budgets.
 fn bench_throughput(c: &mut Criterion) {
     const BLOCKS: usize = 16;
     let mut g = c.benchmark_group("throughput");
@@ -160,7 +163,7 @@ fn bench_throughput(c: &mut Criterion) {
     for (n, bw) in [(256usize, 256usize), (1024, 256)] {
         let params = CodeParams::default().with_n(n).with_b(bw);
         let schedule = Schedule::new(params.num_spines(), params.tail, params.puncturing);
-        let rxs: Vec<RxSymbols> = (0..BLOCKS)
+        let buffers: Vec<SessionBuffer> = (0..BLOCKS)
             .map(|i| {
                 let mut rng = StdRng::seed_from_u64(10 + i as u64);
                 let msg = Message::random(n, || rng.gen());
@@ -168,18 +171,18 @@ fn bench_throughput(c: &mut Criterion) {
                 let mut rx = RxSymbols::new(schedule.clone());
                 let mut ch = AwgnChannel::new(15.0, 20 + i as u64);
                 rx.push(&ch.transmit(&enc.next_symbols(2 * schedule.symbols_per_pass())));
-                rx
+                SessionBuffer::Symbols(rx)
             })
             .collect();
-        let dec = BubbleDecoder::new(&params);
+        let dec = Arc::new(BubbleDecoder::new(&params));
         g.throughput(Throughput::Elements(BLOCKS as u64));
         for threads in throughput_thread_counts() {
-            let engine = DecodeEngine::new(threads);
+            let svc = DecodeService::new(threads, ServiceConfig::default());
             g.threads(threads);
             g.bench_with_input(
                 BenchmarkId::from_parameter(format!("n{n}_B{bw}_t{threads}")),
-                &rxs,
-                |b, rxs| b.iter(|| engine.decode_batch_parallel(&dec, black_box(rxs))),
+                &buffers,
+                |b, buffers| b.iter(|| svc.decode_batch(&dec, black_box(buffers).clone())),
             );
         }
     }

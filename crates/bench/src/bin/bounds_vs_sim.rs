@@ -17,7 +17,7 @@
 
 use bench::{snr_grid, Args};
 use spinal_bounds::{BoundChannel, SpinalBound};
-use spinal_core::{CodeParams, DecodeEngine};
+use spinal_core::{CodeParams, DecodeService, ServiceConfig};
 use spinal_sim::{
     overlay_csv_header, overlay_csv_row, run_overlay_with, BlerRun, LinkChannel, SweepMode,
 };
@@ -31,13 +31,13 @@ fn main() {
     let b = args.usize("b", 256);
     let tau = args.usize("tau", 1);
     // Two composed parallelism layers from one budget: SNR points fan
-    // out across sweep workers, and each worker decodes its BLER batch
-    // through a DecodeEngine holding the leftover threads — so a short
-    // grid on a wide machine still fills every core, with no
+    // out across sweep workers, and each worker decodes its BLER batches
+    // through its own DecodeService holding the leftover threads — so a
+    // short grid on a wide machine still fills every core, with no
     // oversubscription. Results are bit-identical at any split.
     let budget = bench::cli_threads(&args);
     let metric = bench::cli_metric(&args);
-    let (threads, engine_threads) = budget.split(snrs.len());
+    let (threads, service_threads) = budget.split(snrs.len());
     let mode = if args.has("sim-only") {
         SweepMode::SimOnly
     } else {
@@ -66,18 +66,18 @@ fn main() {
         eprintln!(
             "bounds_vs_sim: {label}: {} SNR points × {trials} trials, n={n} B={b} \
              {passes} passes ({symbols} symbols), {threads} sweep threads × \
-             {} engine threads",
+             {} service threads",
             snrs.len(),
-            engine_threads.get()
+            service_threads.get()
         );
 
         let points = run_overlay_with(
             &snrs,
             threads,
-            || DecodeEngine::new(engine_threads.get()),
-            |engine, i, snr| {
+            || DecodeService::new(service_threads.get(), ServiceConfig::default()),
+            |svc, i, snr| {
                 let seed_base = (i as u64) << 32;
-                run.measure_with_engine(snr, symbols, trials, seed_base, engine)
+                run.measure_with_service(snr, symbols, trials, seed_base, svc)
                     .bler()
             },
             mode,

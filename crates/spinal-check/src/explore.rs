@@ -140,8 +140,8 @@ pub fn check_random<R>(cfg: &CheckConfig, mut body: impl FnMut() -> R) -> (Vec<R
 
 /// Bounded exhaustive exploration: enumerate the schedule choice tree
 /// up to `max_schedules` schedules. Suitable for small fixtures (2–3
-/// threads, a handful of sync ops); the engine harnesses use
-/// [`check_random`] instead.
+/// threads, a handful of sync ops); the service and receiver harnesses
+/// use [`check_random`] instead.
 ///
 /// The tree is searched breadth-first over *divergence points*: each
 /// completed run enqueues every unexplored sibling of every choice it
@@ -203,7 +203,8 @@ pub fn check_exhaustive<R>(
 /// finishes, so the model always knows the joiner is merely waiting.
 /// Outside a session this is a plain `join`.
 ///
-/// Use this in *fixtures*; code under test (e.g. `DecodeEngine::drop`)
+/// Use this in *fixtures*; code under test (e.g. the decode service's
+/// worker-pool drop)
 /// keeps its real `join` and is covered by the steal timeout instead.
 pub fn join_checked<T>(handle: JoinHandle<T>) -> std::thread::Result<T> {
     while !handle.is_finished() {

@@ -9,8 +9,8 @@
 //! a session is active registers the thread and stores a thread-local
 //! guard; the guard's `Drop` (run by TLS destruction at thread exit)
 //! reports the exit to the model. This is what lets the checker follow
-//! the `DecodeEngine`'s internally spawned workers without the engine
-//! knowing it is being checked.
+//! the `DecodeService`'s internally spawned pool workers without the
+//! service knowing it is being checked.
 
 use crate::sched::SessionInner;
 use std::cell::RefCell;

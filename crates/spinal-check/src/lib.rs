@@ -1,9 +1,9 @@
 //! A loom-style deterministic-schedule concurrency checker for the
 //! workspace's long-lived thread pools.
 //!
-//! The build container exposes one core, so the engine's concurrency
+//! On a host with one or two cores, the decode service's concurrency
 //! contract — no deadlocks, no lost wakeups, bit-identical output at
-//! every thread count — is never exercised by the interleavings the
+//! every thread count — is barely exercised by the interleavings the
 //! test host happens to produce. This crate replaces the OS scheduler
 //! with a *model* scheduler for the duration of a check session:
 //!
@@ -29,18 +29,18 @@
 //!
 //! Threads participate automatically: the first hook a thread executes
 //! while a session is active registers it, and a thread-local guard
-//! reports its exit, so the `DecodeEngine`'s internally-spawned workers
-//! are captured without any engine changes. Code the model cannot see
-//! (e.g. `JoinHandle::join` inside `DecodeEngine::drop`) is handled by
-//! a currency-steal timeout: a schedule that blocks outside the model
-//! loses determinism for its remaining choices (counted in
+//! reports its exit, so the `DecodeService`'s internally spawned pool
+//! workers are captured without any service changes. Code the model
+//! cannot see (e.g. `JoinHandle::join` in the worker pool's drop) is
+//! handled by a currency-steal timeout: a schedule that blocks outside
+//! the model loses determinism for its remaining choices (counted in
 //! [`ScheduleOutcome::diverged`]) but never hangs the checker.
 //!
 //! The checker asserts *outcomes* per schedule — the harnesses in
-//! `tests/` run the engine's batch and shutdown paths, the decode
-//! service's session paths (worker panic against `wait`; sessions and
-//! service dropped mid-flight — every race the FIFO service has, so
-//! each has a harness) and the pipelined transport receiver
+//! `tests/` run the decode service's batch and shutdown paths, its
+//! session paths (worker panic against `wait`; sessions and service
+//! dropped mid-flight — every race the FIFO service has, so each has a
+//! harness) and the pipelined transport receiver
 //! (attempts settled against later spans, feedback, and refused opens
 //! and submits) across hundreds to thousands of schedules, and require
 //! bit-identical `(message, cost)`, the inline receiver's outcomes, and

@@ -1,15 +1,17 @@
 //! Model-check harnesses driving the *real* `DecodeService` through
-//! hundreds of deterministic schedules: the session paths every
-//! streaming caller decodes through.
+//! hundreds to thousands of deterministic schedules: the batch and
+//! session paths every caller decodes through, and the service's
+//! shutdown.
 //!
-//! As in `model_check_engine.rs`, each harness runs a service workload
-//! as a checked body over the `check`-featured `parking_lot` shim, so
-//! every slot, queue, metrics and pool lock is a schedule point. Every
-//! schedule must finish with no deadlock, lost wakeup or lock-order
-//! inversion, with clean decodes bit-identical to a serial reference,
-//! and with the service's books balanced: every accepted submit ends
-//! exactly once. `SPINAL_CHECK_SCHEDULES` caps each harness's budget
-//! for CI smoke runs.
+//! Each harness runs a service workload as a checked body over the
+//! `check`-featured `parking_lot` shim, so every slot, queue, metrics
+//! and pool lock and condvar is a schedule point, and the session's
+//! strategy decides every handoff. Every schedule must finish with no
+//! deadlock, lost wakeup or lock-order inversion, with clean decodes
+//! bit-identical to a serial reference, and with the service's books
+//! balanced: every accepted submit ends exactly once.
+//! `SPINAL_CHECK_SCHEDULES` caps each harness's budget for CI smoke
+//! runs (the flagship's distinct-schedule floor scales down with it).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,12 +20,13 @@ use spinal_check::hooks::await_participants;
 use spinal_check::{check_random, CheckConfig};
 use spinal_core::{
     BubbleDecoder, CodeParams, DecodeFailure, DecodeRequest, DecodeResult, DecodeService, Encoder,
-    Message, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer, SessionOptions,
+    Message, MetricsSnapshot, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer,
+    SessionOptions,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Pool width of every service under check.
+/// Pool width of the session harnesses' services.
 const WORKERS: usize = 2;
 
 fn make_rx(p: &CodeParams, seed: u64) -> RxSymbols {
@@ -55,6 +58,90 @@ fn open(svc: &DecodeService, dec: &Arc<BubbleDecoder>, rx: &RxSymbols) -> Sessio
     let buffer = SessionBuffer::Symbols(rx.clone());
     svc.open_session(dec, buffer, SessionOptions::default())
         .expect("admitted")
+}
+
+/// The flagship: a batch decode on a fresh service, then the service's
+/// drop (shutdown broadcast and worker joins), at 2 and 3 workers. The
+/// default budget must reach ≥1000 distinct schedules per worker count
+/// with zero violations, and every schedule's batch must match the
+/// serial decode bit for bit with the books balanced.
+#[test]
+fn service_batch_shutdown_is_schedule_independent() {
+    let p = CodeParams::default().with_n(32).with_b(4);
+    let dec = Arc::new(BubbleDecoder::new(&p));
+    let rxs: Vec<RxSymbols> = (0..3).map(|i| make_rx(&p, 0xD0 + i)).collect();
+    let serial: Vec<Fingerprint> = rxs
+        .iter()
+        .map(|rx| fingerprint(&DecodeRequest::new(&dec, rx).decode()))
+        .collect();
+
+    let budget = schedule_budget(1200);
+    // With the default budget the acceptance bar is ≥1000 distinct
+    // schedules; a smoke-sized budget keeps a ~75% density bar (PCT
+    // schedules intentionally repeat at small thread counts).
+    let distinct_floor = if budget >= 1200 { 1000 } else { budget * 3 / 4 };
+
+    for workers in [2usize, 3] {
+        let cfg = CheckConfig {
+            schedules: budget,
+            seed: 0xE1D0_0000 + workers as u64,
+            // Main + the service's worker pool.
+            declared_threads: Some(1 + workers),
+        };
+        let (results, stats) = check_random(&cfg, || batch_then_drop(workers, &dec, &rxs));
+        stats.assert_clean(&format!("service batch, {workers} workers"));
+        eprintln!(
+            "service batch, {workers} workers: {}/{} distinct schedules",
+            stats.distinct, stats.schedules
+        );
+        assert_eq!(
+            results.len(),
+            stats.schedules,
+            "some schedule failed to complete ({workers} workers)"
+        );
+        for (i, (got, m)) in results.iter().enumerate() {
+            let ctx = format!("schedule {i} ({workers} workers)");
+            assert_eq!(got, &serial, "{ctx} diverged from the serial decode");
+            assert_eq!(m.submits, 3, "{ctx}");
+            assert_eq!(m.attempts_failed, 0, "{ctx}");
+            assert_eq!(
+                m.submits,
+                m.completions + m.attempts_failed,
+                "{ctx}: books unbalanced {m:?}"
+            );
+            assert_eq!(m.sessions_active, 0, "{ctx}: a batch session leaked");
+        }
+        assert!(
+            stats.distinct >= distinct_floor,
+            "only {} distinct schedules of {} runs ({workers} workers); floor {}",
+            stats.distinct,
+            stats.schedules,
+            distinct_floor
+        );
+    }
+}
+
+/// One checked body: a fresh `workers`-wide service decodes `rxs` as
+/// one batch, then drops — the pool's shutdown broadcast runs under the
+/// model on every schedule (its worker joins are invisible to it).
+fn batch_then_drop(
+    workers: usize,
+    dec: &Arc<BubbleDecoder>,
+    rxs: &[RxSymbols],
+) -> (Vec<Fingerprint>, MetricsSnapshot) {
+    let svc = DecodeService::new(workers, ServiceConfig::default());
+    // Worker registration races spawn latency; pin it so every
+    // schedule explores the same participant set.
+    await_participants(1 + workers);
+    let buffers = rxs.iter().cloned().map(SessionBuffer::Symbols).collect();
+    let got = svc
+        .decode_batch(dec, buffers)
+        .into_iter()
+        .map(|r| fingerprint(&r.expect("clean batch decode")))
+        .collect();
+    let m = svc.metrics();
+    drop(svc);
+    (got, m)
 }
 
 /// Worker panic against `wait`: the middle of three sessions is
@@ -145,7 +232,7 @@ fn worker_panic_against_wait_resolves_structurally_on_every_schedule() {
 /// Sessions and service dropped with attempts queued or running: three
 /// sessions submit behind a one-slot in-flight cap (one attempt running
 /// or done, the rest queued) and are dropped without waiting, then the
-/// last service handle drops — so engine shutdown may run on a pool
+/// last service handle drops — so pool shutdown may run on a pool
 /// worker. No schedule may wedge, and no attempt may be lost: a
 /// sentinel session submitted after the drops dispatches only once
 /// every earlier attempt has ended (FIFO order, one attempt in flight),

@@ -59,10 +59,10 @@
 //! cache and quantizing from it.
 //!
 //! A request decodes one block on the calling thread. To decode many
-//! blocks across cores, hand them whole to a
-//! [`DecodeEngine`](crate::DecodeEngine) batch, or stream them through
-//! a [`DecodeService`](crate::DecodeService) with one session per
-//! block.
+//! blocks across cores, use a [`DecodeService`](crate::DecodeService):
+//! hand it the blocks whole with
+//! [`decode_batch`](crate::DecodeService::decode_batch), or stream them
+//! through one session per block.
 
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
 use crate::rx::{RxBits, RxSymbols};

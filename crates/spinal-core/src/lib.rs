@@ -55,8 +55,7 @@
 //! | [`decoder`] | §4 | the bubble decoder |
 //! | [`api`] | §4, §7.1 | [`DecodeRequest`]: the single decode entry point |
 //! | [`quant`] | §7 | fixed-point metric profile: u16 tables, saturating u32 costs, radix selection |
-//! | [`engine`] | §7 | multi-threaded decode engine: whole blocks across a worker pool (batch, and the pool [`service`] dispatches through) |
-//! | [`service`] | §7.1 | many-session decode service, the streaming surface: per-session state, backpressure, metrics |
+//! | [`service`] | §7, §7.1 | many-session decode service, the one way to decode across cores: per-session state, backpressure, metrics, batches, and the private worker pool that decodes whole blocks |
 //! | [`ml`] | §4.1 | exhaustive exact-ML reference decoder |
 //! | [`sequential`] | §4.3 | classical stack sequential decoder |
 //! | [`bitmode`] | §3 | spinal over an existing PHY (coded bits + LLRs) |
@@ -75,7 +74,7 @@ pub mod bits;
 pub mod constellation;
 pub mod decoder;
 pub mod encoder;
-pub mod engine;
+mod engine;
 pub mod framing;
 pub mod hash;
 pub mod ml;
@@ -95,7 +94,7 @@ pub use bits::Message;
 pub use constellation::{Constellation, MappingKind};
 pub use decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
 pub use encoder::Encoder;
-pub use engine::{DecodeEngine, DecodeFailure, EngineStats};
+pub use engine::DecodeFailure;
 pub use framing::{crc16, FrameBuilder, FrameReassembly, CRC_BITS};
 pub use hash::HashKind;
 pub use ml::MlDecoder;

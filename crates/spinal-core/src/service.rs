@@ -1,42 +1,45 @@
-//! Many-session decode service: per-session state, admission control,
-//! backpressure, and metrics on top of [`DecodeEngine`].
+//! Many-session decode service — the one way to decode across cores:
+//! per-session state, admission control, backpressure, and metrics on
+//! top of a private worker pool.
 //!
 //! The paper's receiver is rateless and incremental — symbols trickle in
 //! per block and decodes retry at pass boundaries (§7.1) — and the
 //! operating regime of interest is *many* such blocks in flight at once
 //! (the amortized many-user shape analyzed in "De-randomizing
-//! Shannon", arXiv 1206.0418). The engine's batch path serves a caller
-//! that holds every block up front; this module gives every in-flight
-//! block its own handle:
+//! Shannon", arXiv 1206.0418). This module gives every in-flight block
+//! its own handle:
 //!
 //! * **[`Session`]** — owns the per-block decode state: the receive
 //!   buffer ([`SessionBuffer`]), a [`TableCache`] so each exact-profile
 //!   retry folds in only the symbols received since the last attempt,
-//!   and a schedule position. Its attempts run on the engine's per-core
-//!   [`DecodeWorkspace`] (the pooled worker's own, or the inline
-//!   engine's), so a session carries no decode scratch of its own.
-//!   Completion is per-session (`submit` → `wait`), so independent
-//!   callers cannot cross-talk.
+//!   and a schedule position. Its attempts run on the service's
+//!   per-core [`DecodeWorkspace`] (the pooled worker's own, or the
+//!   inline workspace of a 1-thread service), so a session carries no
+//!   decode scratch of its own. Completion is per-session (`submit` →
+//!   `wait`), so independent callers cannot cross-talk.
 //! * **[`DecodeService`]** — admission control (at most
 //!   [`ServiceConfig::max_sessions`] live sessions, structured
 //!   [`AdmitError`] on shed) and a bounded dispatch queue
 //!   ([`ServiceConfig::queue_capacity`], structured [`SubmitError`] on
 //!   overflow — backpressure, never unbounded growth) that dispatches
-//!   attempts in submission order.
+//!   attempts in submission order. A caller that holds every block up
+//!   front hands them to [`DecodeService::decode_batch`], which runs
+//!   one session per block and returns each block's outcome.
 //! * **[`MetricsSnapshot`]** — sessions admitted/shed/active, decode
-//!   latency p50/p99, symbols/s, retries; snapshotable as JSON for the
-//!   `traffic_gen` harness and CI smoke checks.
+//!   latency p50/p99, symbols/s, retries, worker panics; snapshotable as
+//!   JSON for the `traffic_gen` harness and CI smoke checks.
 //!
-//! Decodes run on the service's [`DecodeEngine`]: pooled engines execute
-//! session jobs on their workers; a 1-thread engine runs them inline at
-//! `submit`, which keeps `wait` non-blocking there and the whole layer
+//! A service of more than one thread runs session jobs on its pool
+//! workers, and a worker panic ends only that attempt, as a
+//! [`DecodeFailure`]; a 1-thread service runs them inline at `submit`,
+//! which keeps `wait` non-blocking there and the whole layer
 //! deadlock-free at every thread count. Results are bit-identical to a
 //! serial decode of the same observations — the job body is the same
-//! incremental-table path a serial [`DecodeRequest`](crate::DecodeRequest)
-//! resolves to.
+//! incremental-table path a serial [`DecodeRequest`] resolves to.
 
+use crate::api::{DecodeRequest, RxObservations};
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
-use crate::engine::{DecodeEngine, DecodeFailure};
+use crate::engine::{DecodeFailure, WorkerPool};
 use crate::rx::{RxBits, RxSymbols};
 use crate::tables::TableCache;
 use parking_lot::{Condvar, Mutex};
@@ -46,7 +49,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Service-wide tuning knobs. `Default` gives a generous single-tenant
-/// shape: 4096 sessions, a 1024-deep queue, in-flight cap = engine
+/// shape: 4096 sessions, a 1024-deep queue, in-flight cap = service
 /// threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -56,8 +59,8 @@ pub struct ServiceConfig {
     /// Bound on queued (submitted, not yet running) attempts across all
     /// sessions; `submit` beyond it fails with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Cap on concurrently *running* attempts; `0` means "engine thread
-    /// count". Clamped to at least 1.
+    /// Cap on concurrently *running* attempts; `0` means the service's
+    /// thread count. Clamped to at least 1.
     pub max_inflight: usize,
 }
 
@@ -165,23 +168,20 @@ pub enum SessionBuffer {
 impl SessionBuffer {
     /// Total observations buffered so far.
     pub fn symbols_received(&self) -> usize {
-        match self {
-            SessionBuffer::Symbols(rx) => rx.symbols_received(),
-            SessionBuffer::Bits(rx) => rx.symbols_received(),
-        }
+        self.observations().symbols_received()
     }
 
-    fn n_spines(&self) -> usize {
+    fn observations(&self) -> RxObservations<'_> {
         match self {
-            SessionBuffer::Symbols(rx) => rx.n_spines(),
-            SessionBuffer::Bits(rx) => rx.n_spines(),
+            SessionBuffer::Symbols(rx) => RxObservations::Symbols(rx),
+            SessionBuffer::Bits(rx) => RxObservations::Bits(rx),
         }
     }
 }
 
 /// The per-session decode resources that travel into a job and back:
 /// the receive buffer and the incremental table cache. The job decodes
-/// on the workspace of whichever engine thread runs it.
+/// on the workspace of whichever service thread runs it.
 #[derive(Debug)]
 struct SessionRes {
     buffer: SessionBuffer,
@@ -237,8 +237,8 @@ struct PendingJob {
     poison: Option<String>,
 }
 
-/// A job handed to the engine pool, shaped so both halves of the
-/// engine's run/fail contract can reach it: the job (and the session
+/// A job handed to the worker pool, shaped so both halves of the
+/// pool's run/fail contract can reach it: the job (and the session
 /// resources inside it) is parked in `held` for the whole decode, and
 /// `resolved` latches whichever of the run path and the failure path
 /// ends the attempt first — the other side backs off, so every submit
@@ -413,7 +413,12 @@ struct ServiceState {
 }
 
 struct ServiceInner {
-    engine: DecodeEngine,
+    /// The worker pool of a service with more than one thread; `None`
+    /// runs every attempt inline at `submit`.
+    pool: Option<WorkerPool>,
+    /// The workspace inline attempts run on.
+    inline_ws: Mutex<DecodeWorkspace>,
+    threads: usize,
     cfg: ServiceConfig,
     max_inflight: usize,
     state: Mutex<ServiceState>,
@@ -421,8 +426,8 @@ struct ServiceInner {
 }
 
 /// The many-session decode service. Cheap to clone (all clones share
-/// one engine, queue, and metrics registry); see the module docs for
-/// the architecture.
+/// one worker pool, queue, and metrics registry); see the module docs
+/// for the architecture.
 #[derive(Clone)]
 pub struct DecodeService {
     inner: Arc<ServiceInner>,
@@ -431,28 +436,31 @@ pub struct DecodeService {
 impl std::fmt::Debug for DecodeService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DecodeService")
-            .field("threads", &self.inner.engine.threads())
+            .field("threads", &self.inner.threads)
             .field("cfg", &self.inner.cfg)
             .finish_non_exhaustive()
     }
 }
 
 impl DecodeService {
-    /// Create a service with its own [`DecodeEngine`] of `threads`
-    /// workers (1 = run every attempt inline at `submit`). The service
-    /// owns the engine and dispatches every session attempt through its
-    /// pool.
+    /// Create a service with a thread budget, clamped to at least 1.
+    /// A budget of `threads > 1` spawns exactly that many pool workers
+    /// (a waiting caller only blocks, so `threads` cores stay busy); a
+    /// budget of 1 spawns none and runs every attempt inline at
+    /// `submit`, with no coordination beyond the session books.
     pub fn new(threads: usize, cfg: ServiceConfig) -> Self {
-        let engine = DecodeEngine::new(threads);
+        let threads = threads.max(1);
         let max_inflight = if cfg.max_inflight == 0 {
-            engine.threads()
+            threads
         } else {
             cfg.max_inflight
         }
         .max(1);
         DecodeService {
             inner: Arc::new(ServiceInner {
-                engine,
+                pool: (threads > 1).then(|| WorkerPool::new(threads)),
+                inline_ws: Mutex::new(DecodeWorkspace::new()),
+                threads,
                 cfg,
                 max_inflight,
                 state: Mutex::new(ServiceState {
@@ -486,9 +494,9 @@ impl DecodeService {
         &self.inner.cfg
     }
 
-    /// Worker threads on the underlying engine.
+    /// The service's thread budget.
     pub fn threads(&self) -> usize {
-        self.inner.engine.threads()
+        self.inner.threads
     }
 
     /// Sessions currently open.
@@ -507,11 +515,19 @@ impl DecodeService {
         buffer: SessionBuffer,
         _opts: SessionOptions,
     ) -> Result<Session, AdmitError> {
+        self.admit(dec, &buffer)?;
+        Ok(self.admitted(dec, buffer))
+    }
+
+    /// Take an admission slot for a session decoding `buffer` with
+    /// `dec`, or count the refusal.
+    fn admit(&self, dec: &BubbleDecoder, buffer: &SessionBuffer) -> Result<(), AdmitError> {
         let expected = dec.params_ref().num_spines();
-        if buffer.n_spines() != expected {
+        let spines = buffer.observations().n_spines();
+        if spines != expected {
             self.inner.metrics.lock().shed += 1;
             return Err(AdmitError::SpineMismatch {
-                buffer: buffer.n_spines(),
+                buffer: spines,
                 decoder: expected,
             });
         }
@@ -529,12 +545,15 @@ impl DecodeService {
             st.active += 1;
             st.active
         };
-        {
-            let mut m = self.inner.metrics.lock();
-            m.admitted += 1;
-            m.peak_active = m.peak_active.max(active);
-        }
-        Ok(Session {
+        let mut m = self.inner.metrics.lock();
+        m.admitted += 1;
+        m.peak_active = m.peak_active.max(active);
+        Ok(())
+    }
+
+    /// The session for an admission slot [`DecodeService::admit`] took.
+    fn admitted(&self, dec: &Arc<BubbleDecoder>, buffer: SessionBuffer) -> Session {
+        Session {
             svc: self.clone(),
             dec: Arc::clone(dec),
             slot: Arc::new(SessionSlot {
@@ -549,7 +568,67 @@ impl DecodeService {
             position: 0,
             attempts: 0,
             poison: None,
-        })
+        }
+    }
+
+    /// Decode a batch of independent blocks, one session per buffer,
+    /// and return each block's outcome in input order: the serial
+    /// [`DecodeRequest`] decode of that buffer under `dec`, bit for bit,
+    /// or the [`DecodeFailure`] of a worker that panicked on that block
+    /// (its siblings decode unaffected). The buffers move into their
+    /// sessions and every session shares `dec`, so the batch clones
+    /// neither.
+    ///
+    /// Every block is submitted before the batch waits for any, so a
+    /// pooled service decodes them all at once. The batch obeys the
+    /// service's limits like any other caller: when the service refuses
+    /// an open or a submit, the batch waits for its own oldest block in
+    /// flight and retries, and a block refused while none of the batch
+    /// is in flight decodes on the calling thread instead. So a batch
+    /// finishes under every [`ServiceConfig`], and its refusals are
+    /// counted in the metrics.
+    ///
+    /// # Panics
+    ///
+    /// A buffer whose spine count does not match `dec` is never
+    /// admitted, so it decodes on the calling thread, where the serial
+    /// decode's check panics.
+    pub fn decode_batch(
+        &self,
+        dec: &Arc<BubbleDecoder>,
+        buffers: Vec<SessionBuffer>,
+    ) -> Vec<Result<DecodeResult, DecodeFailure>> {
+        let mut outcomes = Vec::new();
+        outcomes.resize_with(buffers.len(), || None);
+        let mut inflight: VecDeque<(usize, Session)> = VecDeque::new();
+        for (i, mut buffer) in buffers.into_iter().enumerate() {
+            loop {
+                if self.admit(dec, &buffer).is_ok() {
+                    let mut session = self.admitted(dec, buffer);
+                    if session.submit().is_ok() {
+                        inflight.push_back((i, session));
+                        break;
+                    }
+                    let res = session.res.take();
+                    buffer = res.expect("a refused submit keeps its buffer").buffer;
+                }
+                match inflight.pop_front() {
+                    Some((j, mut oldest)) => outcomes[j] = oldest.wait(),
+                    None => {
+                        let serial = DecodeRequest::new(dec, buffer.observations()).decode();
+                        outcomes[i] = Some(Ok(serial));
+                        break;
+                    }
+                }
+            }
+        }
+        for (j, mut session) in inflight {
+            outcomes[j] = session.wait();
+        }
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every block ends exactly once"))
+            .collect()
     }
 
     /// Snapshot the metrics registry.
@@ -586,9 +665,9 @@ impl DecodeService {
 
 impl ServiceInner {
     /// Pull queued jobs and run them while an in-flight slot is free.
-    /// Pooled engines get the job on a worker; a poolless engine runs it
-    /// right here (so a 1-thread service is fully synchronous and
-    /// `wait` can never block on a job nobody will run).
+    /// A pooled service gives the job to a worker; a 1-thread service
+    /// runs it right here (so it is fully synchronous and `wait` can
+    /// never block on a job nobody will run).
     fn dispatch(self: &Arc<Self>) {
         loop {
             let job = {
@@ -620,7 +699,7 @@ impl ServiceInner {
                 self.state.lock().inflight -= 1;
                 continue;
             }
-            if self.engine.is_pooled() {
+            if let Some(pool) = &self.pool {
                 let d = Arc::new(DispatchedJob::new(job));
                 let me = Arc::clone(self);
                 let run_d = Arc::clone(&d);
@@ -629,7 +708,7 @@ impl ServiceInner {
                 // job panics on its worker: exactly one of {run, fail}
                 // ends the attempt and frees the in-flight slot (first
                 // resolver wins via the `resolved` latch).
-                self.engine.pool_spawn(
+                pool.submit(
                     Box::new(move |ws| {
                         me.run_job(&run_d, ws);
                         me.dispatch();
@@ -651,13 +730,13 @@ impl ServiceInner {
                     Some(payload_msg) => {
                         self.fail_job(&d, DecodeFailure::WorkerPanicked { payload_msg })
                     }
-                    None => self.run_job(&d, &mut self.engine.inline_workspace()),
+                    None => self.run_job(&d, &mut self.inline_ws.lock()),
                 }
             }
         }
     }
 
-    /// Decode one attempt on `ws`, the running engine thread's
+    /// Decode one attempt on `ws`, the running service thread's
     /// workspace, and publish its result to the session slot.
     ///
     /// The job rides in `d.held` for the whole decode: a panic unwinds
@@ -716,7 +795,7 @@ impl ServiceInner {
     }
 
     /// Resolve one attempt as a structured failure (a worker panic, or
-    /// an injected poison on an inline engine). The failed job has
+    /// an injected poison on an inline service). The failed job has
     /// already unwound, so its resources sit in `held`. The incremental
     /// cache is reset (a panic can interrupt a cache sync half-way); the
     /// receive buffer survives intact. The workspace the job decoded on
@@ -762,7 +841,7 @@ impl ServiceInner {
 /// push more, resubmit: the §7.1 retry loop. Under the exact profile
 /// each attempt folds only the new observations through the session's
 /// [`TableCache`]; a quantized attempt builds its tables from the
-/// buffer in one pass. Either way the attempt runs on the engine's
+/// buffer in one pass. Either way the attempt runs on the service's
 /// per-core workspace.
 ///
 /// Dropping a session releases its admission slot; an attempt still in
@@ -863,7 +942,7 @@ impl Session {
     /// surfaces a structured failure (a worker panic), after which the
     /// session is immediately usable again with its receive buffer
     /// intact. Never deadlocks: queued work is always driven by a pool
-    /// worker or by `submit` itself on inline engines.
+    /// worker or by `submit` itself on an inline service.
     pub fn wait(&mut self) -> Option<Result<DecodeResult, DecodeFailure>> {
         self.await_ending(Block::Forever)
     }
@@ -933,7 +1012,7 @@ impl Session {
 
     /// Test-only failure injection: the next submitted attempt panics
     /// on its worker (or resolves directly as the structured failure on
-    /// an inline engine) instead of decoding — exercising the full
+    /// an inline service) instead of decoding — exercising the full
     /// panic-recovery path: catch, respawn, `DecodeFailure` surfacing.
     /// Never use outside tests.
     #[doc(hidden)]
@@ -954,8 +1033,16 @@ mod tests {
     use crate::bits::Message;
     use crate::encoder::Encoder;
     use crate::params::CodeParams;
-    use crate::puncturing::Schedule;
+    use crate::puncturing::{Puncturing, Schedule};
+    use crate::quant::MetricProfile;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use spinal_channel::{AwgnChannel, Channel};
+
+    /// How long a test waits for an attempt that needs a live pool
+    /// worker: far beyond any decode here, so only a pool that lost its
+    /// workers runs out of it.
+    const PATIENCE: Duration = Duration::from_secs(30);
 
     fn setup(seed: u64) -> (CodeParams, Message, Vec<spinal_channel::Complex>) {
         let params = CodeParams::default().with_n(32);
@@ -974,6 +1061,39 @@ mod tests {
         let mut rx = RxSymbols::new(sched);
         rx.push(ys);
         rx
+    }
+
+    /// `passes` passes of a random `p.n`-bit message through 9 dB AWGN.
+    fn make_rx(p: &CodeParams, passes: usize, seed: u64) -> SessionBuffer {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let msg = Message::random(p.n, || rng.gen());
+        let mut enc = Encoder::new(p, &msg);
+        let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
+        let mut rx = RxSymbols::new(schedule);
+        let mut ch = AwgnChannel::new(9.0, seed.wrapping_add(7));
+        rx.push(&ch.transmit(&enc.next_symbols(passes * p.symbols_per_pass())));
+        SessionBuffer::Symbols(rx)
+    }
+
+    fn serial(dec: &BubbleDecoder, buffer: &SessionBuffer) -> DecodeResult {
+        DecodeRequest::new(dec, buffer.observations()).decode()
+    }
+
+    /// Require every block of a batch to match its serial decode, bit
+    /// for bit and in input order.
+    fn assert_batch_matches_serial(
+        outcomes: &[Result<DecodeResult, DecodeFailure>],
+        dec: &BubbleDecoder,
+        buffers: &[SessionBuffer],
+        ctx: &str,
+    ) {
+        assert_eq!(outcomes.len(), buffers.len(), "{ctx}");
+        for (i, (outcome, buffer)) in outcomes.iter().zip(buffers).enumerate() {
+            let got = outcome.as_ref().expect("clean batch decode");
+            let want = serial(dec, buffer);
+            assert_eq!(got.message, want.message, "{ctx} block {i}");
+            assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{ctx} block {i}");
+        }
     }
 
     #[test]
@@ -1093,7 +1213,7 @@ mod tests {
     }
 
     #[test]
-    fn double_submit_is_an_error_on_pooled_engine() {
+    fn double_submit_is_an_error_on_a_pooled_service() {
         let svc = DecodeService::new(2, ServiceConfig::default());
         let (params, _message, ys) = setup(9);
         let dec = Arc::new(BubbleDecoder::new(&params));
@@ -1128,7 +1248,7 @@ mod tests {
             )
             .expect("admitted");
         session.submit().expect("queued");
-        // Inline engine: the attempt already completed; drop without
+        // Inline service: the attempt already completed; drop without
         // taking the result. The Ready slot is simply discarded — no
         // stale count, the result existed and the caller walked away.
         drop(session);
@@ -1204,7 +1324,7 @@ mod tests {
         // Nothing in flight: wait_timeout returns immediately.
         assert!(session.wait_timeout(Duration::from_millis(1)).is_none());
         session.submit().expect("queued");
-        // Inline engine: already complete, any timeout finds it Ready.
+        // Inline service: already complete, any timeout finds it Ready.
         let got = session
             .wait_timeout(Duration::from_secs(10))
             .expect("inline decode already finished")
@@ -1214,11 +1334,11 @@ mod tests {
 
     #[test]
     fn poisoned_attempt_books_balance_and_respawns_worker() {
-        // Pooled engines: each poison panics on a real worker thread,
-        // the engine catches it, respawns the slot, and the service
+        // Pooled services: each poison panics on a real worker thread,
+        // the pool catches it, respawns the slot, and the service
         // surfaces the structured failure — then the session decodes
         // again on the replacement worker. Repeated rounds must never
-        // exhaust the pool. The inline engine resolves the poison at
+        // exhaust the pool. The inline service resolves the poison at
         // `submit` with no worker to lose.
         const ROUNDS: u64 = 5;
         for threads in [1, 2, 3] {
@@ -1239,9 +1359,9 @@ mod tests {
                 let outcome = if threads == 1 {
                     session.try_result()
                 } else {
-                    session.wait()
+                    session.wait_timeout(PATIENCE)
                 };
-                match outcome.expect("attempt was in flight") {
+                match outcome.expect("the poisoned attempt ended") {
                     Err(DecodeFailure::WorkerPanicked { payload_msg }) => {
                         assert_eq!(payload_msg, "injected poison", "{ctx}")
                     }
@@ -1252,11 +1372,19 @@ mod tests {
                     .expect("resources recovered")
                     .symbols_received();
                 assert_eq!(n_sym, ys.len(), "{ctx}: receive buffer survives the panic");
-                let respawns = if threads == 1 { 0 } else { round };
-                assert_eq!(svc.inner.engine.stats().worker_respawns, respawns, "{ctx}");
-                // The session decodes normally afterwards.
+                // Each caught panic is counted once. On a pooled service
+                // it also respawns exactly one worker: the failure
+                // continuation holds the service, and so the pool, alive
+                // until the replacement is spawned.
+                assert_eq!(svc.metrics().worker_panics, round, "{ctx}");
+                // The session decodes normally afterwards. A pool that
+                // lost its workers would never run the attempt, so the
+                // wait is bounded.
                 session.submit().expect("queued after failure");
-                let got = session.wait().expect("in flight").expect("clean");
+                let got = session
+                    .wait_timeout(PATIENCE)
+                    .expect("a live worker decoded the attempt")
+                    .expect("clean");
                 assert_eq!(got.message, message, "{ctx}");
             }
             let m = svc.metrics();
@@ -1294,6 +1422,168 @@ mod tests {
                 .expect("attempt was in flight")
                 .expect("clean");
             assert_eq!(got.message, message, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn batch_parallel_matches_serial_batch_in_order() {
+        let p = CodeParams::default().with_n(64).with_b(16);
+        let buffers: Vec<SessionBuffer> = (0..7).map(|s| make_rx(&p, 2, 100 + s)).collect();
+        for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
+            let dec = Arc::new(BubbleDecoder::new(&p).with_profile(profile));
+            let svc = DecodeService::new(3, ServiceConfig::default());
+            let batch = svc.decode_batch(&dec, buffers.clone());
+            assert_batch_matches_serial(&batch, &dec, &buffers, &format!("{profile:?}"));
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        let p = CodeParams::default().with_n(64);
+        let dec = Arc::new(BubbleDecoder::new(&p));
+        for threads in [1, 2] {
+            let svc = DecodeService::new(threads, ServiceConfig::default());
+            assert!(svc.decode_batch(&dec, Vec::new()).is_empty());
+        }
+    }
+
+    #[test]
+    fn one_service_serves_heterogeneous_parameters_and_profiles() {
+        // Worker workspaces are parameter- AND profile-agnostic: one
+        // service must serve different (n, k, B, d) codes and
+        // alternating metric profiles back to back, batch after batch.
+        let svc = DecodeService::new(2, ServiceConfig::default());
+        for (n, k, b, d) in [
+            (64usize, 4usize, 16usize, 1usize),
+            (60, 3, 8, 2),
+            (96, 4, 64, 1),
+        ] {
+            let p = CodeParams::default()
+                .with_n(n)
+                .with_k(k)
+                .with_b(b)
+                .with_d(d);
+            let seed = (n + b) as u64;
+            let buffers = [make_rx(&p, 2, seed), make_rx(&p, 2, seed + 1)];
+            for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
+                let dec = Arc::new(BubbleDecoder::new(&p).with_profile(profile));
+                let batch = svc.decode_batch(&dec, buffers.to_vec());
+                let case = format!("{profile:?} n{n} k{k} B{b} d{d}");
+                assert_batch_matches_serial(&batch, &dec, &buffers, &case);
+            }
+        }
+    }
+
+    #[test]
+    fn thread_budget_is_clamped_and_reported() {
+        assert_eq!(DecodeService::new(0, ServiceConfig::default()).threads(), 1);
+        assert_eq!(DecodeService::new(3, ServiceConfig::default()).threads(), 3);
+    }
+
+    #[test]
+    fn batch_windows_through_refusals_in_order() {
+        // However tight the service's limits, a batch returns every
+        // block in input order, bit-identical to serial: a refused open
+        // or submit waits for the batch's oldest block in flight, and a
+        // block refused with none in flight decodes on the caller.
+        let p = CodeParams::default().with_n(64).with_b(16);
+        let buffers: Vec<SessionBuffer> = (0..7).map(|s| make_rx(&p, 2, 300 + s)).collect();
+        let dec = Arc::new(BubbleDecoder::new(&p));
+        let configs = [
+            ServiceConfig::default(),
+            ServiceConfig {
+                max_sessions: 2,
+                queue_capacity: 1,
+                ..ServiceConfig::default()
+            },
+            ServiceConfig {
+                queue_capacity: 0,
+                ..ServiceConfig::default()
+            },
+            ServiceConfig {
+                queue_capacity: 1,
+                max_inflight: 1,
+                ..ServiceConfig::default()
+            },
+        ];
+        for threads in [1, 2, 3] {
+            for cfg in configs {
+                let ctx = format!("threads {threads} {cfg:?}");
+                let svc = DecodeService::new(threads, cfg);
+                let batch = svc.decode_batch(&dec, buffers.clone());
+                assert_batch_matches_serial(&batch, &dec, &buffers, &ctx);
+                let m = svc.metrics();
+                assert_eq!(m.submits, m.completions + m.attempts_failed, "{ctx}");
+                assert_eq!(m.sessions_active, 0, "{ctx}: a batch session leaked");
+                if cfg.queue_capacity == 0 {
+                    assert_eq!(m.submits, 0, "{ctx}: every block decodes on the caller");
+                    assert_eq!(m.submits_rejected, 7, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// The payload whose block check panics in
+    /// [`batch_worker_panic_fails_only_its_block`].
+    const POISON: [u8; 4] = *b"PANC";
+
+    fn panics_on_poison(msg: &Message) -> bool {
+        if msg.as_bytes() == POISON {
+            panic!("block check poison");
+        }
+        true
+    }
+
+    #[test]
+    fn batch_worker_panic_fails_only_its_block() {
+        // An unpunctured B = 32 decoder runs its block check on every
+        // block's B/16 candidate, so a check that panics on one payload
+        // poisons exactly that block, on whichever worker decodes it.
+        const POISONED: usize = 2;
+        let p = CodeParams::default()
+            .with_n(32)
+            .with_b(32)
+            .with_puncturing(Puncturing::none());
+        let dec = Arc::new(BubbleDecoder::new(&p).with_block_check(panics_on_poison));
+        let buffers: Vec<SessionBuffer> = (0..5u8)
+            .map(|i| {
+                let payload = if usize::from(i) == POISONED {
+                    POISON.to_vec()
+                } else {
+                    vec![i, 0x5A, 0xC3, i.wrapping_mul(37)]
+                };
+                let mut enc = Encoder::new(&p, &Message::from_bytes(payload, p.n));
+                let mut rx = RxSymbols::new(Schedule::new(p.num_spines(), p.tail, p.puncturing));
+                let mut ch = AwgnChannel::new(20.0, u64::from(i) + 40);
+                rx.push(&ch.transmit(&enc.next_symbols(2 * p.symbols_per_pass())));
+                SessionBuffer::Symbols(rx)
+            })
+            .collect();
+        let siblings: Vec<SessionBuffer> = buffers
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != POISONED)
+            .map(|(_, b)| b.clone())
+            .collect();
+        for threads in [2, 3] {
+            let ctx = format!("threads {threads}");
+            let svc = DecodeService::new(threads, ServiceConfig::default());
+            let mut batch = svc.decode_batch(&dec, buffers.clone());
+            match batch.remove(POISONED) {
+                Err(DecodeFailure::WorkerPanicked { payload_msg }) => {
+                    assert_eq!(payload_msg, "block check poison", "{ctx}")
+                }
+                Ok(_) => panic!("{ctx}: the poisoned block decoded"),
+            }
+            assert_batch_matches_serial(&batch, &dec, &siblings, &ctx);
+            // The service still decodes afterwards, on the respawned
+            // worker.
+            let again = svc.decode_batch(&dec, siblings.clone());
+            assert_batch_matches_serial(&again, &dec, &siblings, &format!("{ctx} after"));
+            let m = svc.metrics();
+            assert_eq!(m.worker_panics, 1, "{ctx}");
+            assert_eq!(m.attempts_failed, 1, "{ctx}");
+            assert_eq!(m.submits, m.completions + m.attempts_failed, "{ctx}");
         }
     }
 }

@@ -17,9 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel, RayleighChannel};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeResult, DecodeService, Encoder,
-    Message, MetricProfile, Puncturing, RxBits, RxSymbols, Schedule, ServiceConfig, Session,
-    SessionBuffer, SessionOptions, TableCache,
+    BubbleDecoder, CodeParams, DecodeRequest, DecodeResult, DecodeService, Encoder, Message,
+    MetricProfile, Puncturing, RxBits, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer,
+    SessionOptions, TableCache,
 };
 use std::sync::Arc;
 
@@ -276,8 +276,8 @@ const EXPECTED_QUANT_UNPUNCTURED: &[(&str, f64)] = &[
 ];
 
 /// A decoder and the consecutive corpus cases that share its parameter
-/// set, each with its serial decode: the shape the engine's batch path
-/// takes (one decoder per batch).
+/// set, each with its serial decode: the shape
+/// [`DecodeService::decode_batch`] takes (one decoder per batch).
 type Batch = (Arc<BubbleDecoder>, Vec<(SessionBuffer, DecodeResult)>);
 
 /// Every corpus case under `profile`, grouped into [`Batch`]es.
@@ -296,13 +296,11 @@ fn corpus_batches(profile: MetricProfile) -> Vec<Batch> {
     batches.into_iter().map(|(_, batch)| batch).collect()
 }
 
-/// Decode every batch through a long-lived `threads`-wide engine and
-/// service — one session per case, all submitted before any `wait`,
-/// and `decode_batch_parallel` on the symbol batches (the engine's
-/// batch path takes no bit buffers) — and require the serial decode bit
-/// for bit (message bytes AND cost bits).
+/// Decode every batch through a long-lived `threads`-wide service —
+/// one hand-driven session per case, all submitted before any `wait`,
+/// then the whole batch through `decode_batch` — and require the serial
+/// decode bit for bit (message bytes AND cost bits).
 fn assert_paths_match_serial(threads: usize, batches: &[Batch], label: &str) {
-    let engine = DecodeEngine::new(threads);
     let svc = DecodeService::new(threads, ServiceConfig::default());
     for (b, (dec, cases)) in batches.iter().enumerate() {
         let check = |path: &str, i: usize, out: &DecodeResult| {
@@ -331,28 +329,19 @@ fn assert_paths_match_serial(threads: usize, batches: &[Batch], label: &str) {
             let out = session.wait().expect("attempt in flight");
             check("session", i, &out.expect("clean session decode"));
         }
-        let symbols: Option<Vec<RxSymbols>> = cases
-            .iter()
-            .map(|(rx, _)| match rx {
-                SessionBuffer::Symbols(rx) => Some(rx.clone()),
-                SessionBuffer::Bits(_) => None,
-            })
-            .collect();
-        if let Some(rxs) = symbols {
-            let batch = engine.decode_batch_parallel(dec, &rxs);
-            assert_eq!(batch.len(), cases.len());
-            for (i, out) in batch.iter().enumerate() {
-                check("batch", i, out);
-            }
+        let buffers = cases.iter().map(|(rx, _)| rx.clone()).collect();
+        let batch = svc.decode_batch(dec, buffers);
+        assert_eq!(batch.len(), cases.len());
+        for (i, out) in batch.into_iter().enumerate() {
+            check("batch", i, &out.expect("clean batch decode"));
         }
     }
 }
 
 /// The parallel paths must reproduce the serial decoder bit for bit on
 /// every case of the corpus, at every tested thread count, through a
-/// long-lived engine and service reused across heterogeneous cases (the
-/// deployment shape): sessions on every case, batch on the symbol
-/// cases.
+/// long-lived service reused across heterogeneous cases (the deployment
+/// shape): sessions and batch on every case, bit buffers included.
 #[test]
 fn parallel_engine_matches_serial_on_corpus_at_every_thread_count() {
     let batches = corpus_batches(MetricProfile::Exact);
@@ -365,8 +354,8 @@ fn parallel_engine_matches_serial_on_corpus_at_every_thread_count() {
 /// corpus (its equivalence contract is statistical), but it must be
 /// exactly as deterministic: on every case — real AWGN, fading and BSC
 /// observations across the (n, k, B, d) grid — the serial quantized
-/// decode must match the session decodes (and, on symbol cases, the
-/// batch decodes) bit for bit at every thread count.
+/// decode must match the session and batch decodes bit for bit at
+/// every thread count.
 #[test]
 fn quantized_profile_is_engine_deterministic_on_corpus() {
     let batches = corpus_batches(MetricProfile::Quantized);
@@ -438,10 +427,9 @@ fn quantized_output_matches_recorded_corpus() {
 }
 
 /// `case`'s decode through every path a caller can take: a request with
-/// and without a [`TableCache`], a service session, and (for symbols) an
-/// engine batch.
+/// and without a [`TableCache`], a service session, and a service
+/// batch.
 fn every_path(
-    engine: &DecodeEngine,
     svc: &DecodeService,
     dec: &Arc<BubbleDecoder>,
     rx: &SessionBuffer,
@@ -459,16 +447,14 @@ fn every_path(
         .wait()
         .expect("attempt in flight")
         .expect("clean session decode");
-    let mut out = vec![
+    let mut batch = svc.decode_batch(dec, vec![rx.clone()]);
+    let batch = batch.pop().expect("one block").expect("clean batch decode");
+    vec![
         ("request", serial_decode(dec, rx)),
         ("cached request", cached),
         ("session", session),
-    ];
-    if let SessionBuffer::Symbols(rx) = rx {
-        let batch = engine.decode_batch_parallel(dec, std::slice::from_ref(rx));
-        out.extend(batch.into_iter().map(|r| ("batch", r)));
-    }
-    out
+        ("batch", batch),
+    ]
 }
 
 /// The beam ladder's oracles. On the unpunctured copy of the grid, a
@@ -482,7 +468,6 @@ fn every_path(
 fn beam_ladder_equals_its_rungs_on_corpus() {
     let reject: fn(&Message) -> bool = |_| false;
     let accept: fn(&Message) -> bool = |_| true;
-    let engine = DecodeEngine::new(2);
     let svc = DecodeService::new(2, ServiceConfig::default());
     let mut laddered = 0;
     for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
@@ -508,7 +493,7 @@ fn beam_ladder_equals_its_rungs_on_corpus() {
                             .with_profile(profile)
                             .with_block_check(check),
                     );
-                    for (path, out) in every_path(&engine, &svc, &dec, &rx) {
+                    for (path, out) in every_path(&svc, &dec, &rx) {
                         let ctx = format!(
                             "{profile:?} {} ways case {i} (B={}) {which}-all check, {path}",
                             puncturing.ways(),

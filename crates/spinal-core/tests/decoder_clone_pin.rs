@@ -1,11 +1,13 @@
-//! Pins the session hot path to ZERO `BubbleDecoder` clones.
+//! Pins the session hot path and the service batch to ZERO
+//! `BubbleDecoder` clones.
 //!
 //! The pre-service engine cloned the decoder (tables included) into an
-//! `Arc` on *every* `submit` — fine for a one-shot sweep, pathological
-//! for a service retrying hundreds of sessions. Sessions share one
-//! caller-provided `Arc<BubbleDecoder>` instead; this test counts
-//! actual `Clone::clone` calls across a many-submit session workload
-//! and fails if even one sneaks back in.
+//! `Arc` on *every* `submit`, and its batch path once per batch — fine
+//! for a one-shot sweep, pathological for a service retrying hundreds
+//! of sessions. Sessions and batches share one caller-provided
+//! `Arc<BubbleDecoder>` instead; this test counts actual
+//! `Clone::clone` calls across a many-submit session workload and a
+//! batch and fails if even one sneaks back in.
 //!
 //! Lives in its own integration-test binary on purpose: the clone
 //! counter is process-global, and unit tests elsewhere legitimately
@@ -30,6 +32,8 @@ fn session_submits_never_clone_the_decoder() {
     let before = BubbleDecoder::clones_total();
     for threads in [1usize, 3] {
         let svc = DecodeService::new(threads, ServiceConfig::default());
+        let mut batch = Vec::new();
+        let mut msgs = Vec::new();
         for seed in 0..8u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let msg = Message::random(p.n, || rng.gen());
@@ -37,6 +41,8 @@ fn session_submits_never_clone_the_decoder() {
             let mut ch = AwgnChannel::new(12.0, seed ^ 0x5e55);
             let mut rx = RxSymbols::new(schedule.clone());
             rx.push(&ch.transmit(&enc.next_symbols(2 * spp)));
+            batch.push(SessionBuffer::Symbols(rx.clone()));
+            msgs.push(msg.clone());
             let mut session = svc
                 .open_session(&dec, SessionBuffer::Symbols(rx), SessionOptions::default())
                 .expect("admission");
@@ -56,11 +62,15 @@ fn session_submits_never_clone_the_decoder() {
                 }
             }
         }
+        for (outcome, msg) in svc.decode_batch(&dec, batch).into_iter().zip(&msgs) {
+            let result = outcome.expect("clean batch decode");
+            assert_eq!(&result.message, msg, "threads {threads} batch");
+        }
     }
     let cloned = BubbleDecoder::clones_total() - before;
     assert_eq!(
         cloned, 0,
-        "{cloned} decoder clone(s) on the session submit path — the \
-         shared-Arc contract regressed"
+        "{cloned} decoder clone(s) on the session submit path or the \
+         batch — the shared-Arc contract regressed"
     );
 }

@@ -16,9 +16,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spinal_channel::{AwgnChannel, Channel, Complex, RayleighChannel};
 use spinal_core::{
-    BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeWorkspace, Encoder, Message,
-    MetricProfile, RxSymbols, Schedule,
+    BubbleDecoder, CodeParams, DecodeRequest, DecodeService, DecodeWorkspace, Encoder, Message,
+    MetricProfile, RxSymbols, Schedule, SessionBuffer,
 };
+use std::sync::Arc;
 
 /// Fixed-budget BLER experiment configuration.
 #[derive(Debug, Clone)]
@@ -87,7 +88,7 @@ impl BlerRun {
     /// Construct one trial's transmitted message and received buffer
     /// (deterministic in `seed`): encode a random message, send exactly
     /// `total_symbols` symbols through the channel. One implementation
-    /// feeds both the serial and the engine-batched measurement paths,
+    /// feeds both the serial and the service-batched measurement paths,
     /// so they see identical noise realisations. `csi_scratch` is a
     /// reusable buffer for the per-trial CSI / phase-rotation vector
     /// (the same scratch-reuse discipline as the rateless trial loop).
@@ -187,44 +188,47 @@ impl BlerRun {
 
     /// [`BlerRun::measure`] as a batched block pipeline: receive
     /// buffers are constructed in chunks (encode + channel are a small
-    /// fraction of decode cost) and each chunk decoded across the
-    /// engine's workers via [`DecodeEngine::decode_batch_parallel`] —
-    /// every worker reusing its per-core workspace. Chunking bounds
-    /// peak memory at a few dozen buffers regardless of `trials`, while
-    /// keeping every worker busy. Identical estimate to the serial
-    /// [`BlerRun::measure`] at every thread count (same seeds, same
-    /// noise, bit-identical decodes).
-    pub fn measure_with_engine(
+    /// fraction of decode cost) and each chunk handed, by value, to
+    /// [`DecodeService::decode_batch`], which decodes it across the
+    /// service's workers, each on its per-core workspace. Chunking
+    /// bounds peak memory at a few dozen buffers regardless of
+    /// `trials`, while keeping every worker busy. Identical estimate to
+    /// the serial [`BlerRun::measure`] at every thread count (same
+    /// seeds, same noise, bit-identical decodes).
+    ///
+    /// # Panics
+    ///
+    /// If a decode worker panics: the trial has no outcome to count.
+    pub fn measure_with_service(
         &self,
         snr_db: f64,
         total_symbols: usize,
         trials: usize,
         seed_base: u64,
-        engine: &DecodeEngine,
+        svc: &DecodeService,
     ) -> BlerEstimate {
         // Several blocks in flight per worker hides the once-per-chunk
         // serial construction phase.
-        let chunk_size = (engine.threads() * 8).clamp(8, 128);
-        let decoder = self.decoder();
+        let chunk_size = (svc.threads() * 8).clamp(8, 128);
+        let decoder = Arc::new(self.decoder());
         let mut errors = 0usize;
         let mut start = 0usize;
         let mut scratch = Vec::new();
         while start < trials {
             let end = (start + chunk_size).min(trials);
             let mut msgs = Vec::with_capacity(end - start);
-            let mut rxs = Vec::with_capacity(end - start);
+            let mut buffers = Vec::with_capacity(end - start);
             for i in start..end {
                 let (msg, rx) =
                     self.build_trial(snr_db, total_symbols, seed_base + i as u64, &mut scratch);
                 msgs.push(msg);
-                rxs.push(rx);
+                buffers.push(SessionBuffer::Symbols(rx));
             }
-            let outs = engine.decode_batch_parallel(&decoder, &rxs);
-            errors += msgs
-                .iter()
-                .zip(&outs)
-                .filter(|(msg, out)| out.message != **msg)
-                .count();
+            let outs = svc.decode_batch(&decoder, buffers);
+            for (msg, out) in msgs.iter().zip(outs) {
+                let out = out.unwrap_or_else(|failure| panic!("BLER trial: {failure}"));
+                errors += usize::from(out.message != *msg);
+            }
             start = end;
         }
         BlerEstimate { trials, errors }
@@ -234,6 +238,7 @@ impl BlerRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spinal_core::ServiceConfig;
 
     fn fast_params() -> CodeParams {
         CodeParams::default().with_n(64).with_b(64)
@@ -287,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_measure_matches_serial_measure() {
+    fn service_measure_matches_serial_measure() {
         // The batched pipeline is an execution strategy, not a different
         // experiment: estimates must be identical at every thread count,
         // on AWGN and fading alike.
@@ -300,17 +305,17 @@ mod tests {
             let mut ws = DecodeWorkspace::new();
             let serial = run.measure(6.0, symbols, 12, 9, &mut ws);
             for threads in [1, 2, 4] {
-                let engine = DecodeEngine::new(threads);
-                let parallel = run.measure_with_engine(6.0, symbols, 12, 9, &engine);
+                let svc = DecodeService::new(threads, ServiceConfig::default());
+                let parallel = run.measure_with_service(6.0, symbols, 12, 9, &svc);
                 assert_eq!(serial, parallel, "threads {threads}");
             }
         }
     }
 
     #[test]
-    fn quantized_profile_measures_identically_across_engines() {
+    fn quantized_profile_measures_identically_across_services() {
         // The quantized profile is deterministic across dispatch paths:
-        // serial and batched-engine BLER estimates must agree exactly at
+        // serial and service-batched BLER estimates must agree exactly at
         // every thread count, on AWGN and fading alike.
         let runs = [
             BlerRun::new(fast_params()).with_profile(MetricProfile::Quantized),
@@ -323,10 +328,10 @@ mod tests {
             let mut ws = DecodeWorkspace::new();
             let serial = run.measure(6.0, symbols, 12, 9, &mut ws);
             for threads in [1, 2, 4] {
-                let engine = DecodeEngine::new(threads);
+                let svc = DecodeService::new(threads, ServiceConfig::default());
                 assert_eq!(
                     serial,
-                    run.measure_with_engine(6.0, symbols, 12, 9, &engine),
+                    run.measure_with_service(6.0, symbols, 12, 9, &svc),
                     "threads {threads}"
                 );
             }

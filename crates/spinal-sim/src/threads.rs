@@ -15,7 +15,7 @@
 //!
 //! The same budget feeds both layers of parallelism:
 //! [`run_parallel_with`](crate::sweep::run_parallel_with) for
-//! trial-level fan-out and `spinal_core::DecodeEngine` for block-level
+//! trial-level fan-out and `spinal_core::DecodeService` for block-level
 //! fan-out. [`Threads::split`] divides one budget across the two layers
 //! so they compose without oversubscribing cores.
 
@@ -79,13 +79,14 @@ impl Threads {
     }
 
     /// Split this budget between trial-level workers and a per-worker
-    /// decode-engine budget: `(outer, inner)` with `outer·inner ≤
+    /// decode-service budget: `(outer, inner)` with `outer·inner ≤
     /// budget` (and `outer ≤ jobs`). With many jobs the whole budget
     /// goes to the outer sweep (`inner = 1`); with fewer jobs than
-    /// cores the leftover cores become each worker's batch
-    /// [`DecodeEngine`](spinal_core::DecodeEngine), which decodes that
-    /// worker's blocks in parallel (whole blocks across threads), so
-    /// small grids still fill the machine.
+    /// cores the leftover cores become each worker's
+    /// [`DecodeService`](spinal_core::DecodeService), whose
+    /// [`decode_batch`](spinal_core::DecodeService::decode_batch)
+    /// decodes that worker's blocks in parallel (whole blocks across
+    /// threads), so small grids still fill the machine.
     pub fn split(self, jobs: usize) -> (usize, Threads) {
         let outer = self.0.min(jobs.max(1));
         (outer, Threads::new(self.0 / outer))
@@ -164,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn split_turns_leftover_cores_into_engine_threads() {
+    fn split_turns_leftover_cores_into_service_threads() {
         let (outer, inner) = Threads::new(8).split(2);
         assert_eq!((outer, inner.get()), (2, 4));
         let (outer, inner) = Threads::new(7).split(3);

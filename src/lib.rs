@@ -38,9 +38,9 @@ pub use spinal_channel::{
     AwgnChannel, BscChannel, Channel, Complex, GeParams, GilbertElliott, RayleighChannel,
 };
 pub use spinal_core::{
-    AdmitError, BubbleDecoder, CodeParams, DecodeEngine, DecodeRequest, DecodeService,
-    DecodeWorkspace, Encoder, FrameBuilder, HashKind, MappingKind, Message, MetricsSnapshot,
-    Puncturing, RxBits, RxObservations, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer,
-    SessionOptions, SubmitError,
+    AdmitError, BubbleDecoder, CodeParams, DecodeRequest, DecodeService, DecodeWorkspace, Encoder,
+    FrameBuilder, HashKind, MappingKind, Message, MetricsSnapshot, Puncturing, RxBits,
+    RxObservations, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer, SessionOptions,
+    SubmitError,
 };
 pub use spinal_sim::{LinkChannel, SpinalRun, Threads};

@@ -1,19 +1,20 @@
-//! Parallel/serial equivalence: the `DecodeEngine` must be an execution
-//! strategy, not a different decoder. Both whole-block paths — the
-//! engine's batched block pipeline (`decode_batch_parallel`) and
-//! `DecodeService` sessions (one per block, every block submitted
-//! before any `wait`) — must reproduce a serial `DecodeRequest` bit for
-//! bit (message bytes AND cost bits) at every thread count, for
-//! arbitrary `(k, B, d, channel)` scenarios and for the
-//! degenerate-observation regression cases from the NaN-safety work
-//! (where *every* leaf ties at `+∞` cost and only the canonical total
-//! order keeps the winner well-defined).
+//! Parallel/serial equivalence: the `DecodeService` must be an
+//! execution strategy, not a different decoder. Both of its whole-block
+//! paths — `decode_batch` and hand-driven sessions (one per block,
+//! every block submitted before any `wait`) — must reproduce a serial
+//! `DecodeRequest` bit for bit (message bytes AND cost bits) at every
+//! thread count, for arbitrary `(k, B, d, channel)` scenarios over
+//! symbol and bit buffers, and for the degenerate-observation
+//! regression cases from the NaN-safety work (where *every* leaf ties
+//! at `+∞` cost and only the canonical total order keeps the winner
+//! well-defined).
 
 use proptest::prelude::*;
+use spinal_codes::channel::BitChannel;
 use spinal_codes::core::{DecodeResult, MetricProfile};
 use spinal_codes::{
-    AwgnChannel, BubbleDecoder, Channel, CodeParams, Complex, DecodeEngine, DecodeRequest,
-    DecodeService, DecodeWorkspace, Encoder, Message, RayleighChannel, RxSymbols, Schedule,
+    AwgnChannel, BscChannel, BubbleDecoder, Channel, CodeParams, Complex, DecodeRequest,
+    DecodeService, DecodeWorkspace, Encoder, Message, RayleighChannel, RxBits, RxSymbols, Schedule,
     ServiceConfig, Session, SessionBuffer, SessionOptions,
 };
 use std::sync::Arc;
@@ -24,9 +25,7 @@ struct Scenario {
     k: usize,
     d: usize,
     b: usize,
-    /// 0 = AWGN, 1 = Rayleigh with CSI. The engine's batch path takes
-    /// symbol buffers only, so there is no BSC arm here (the decode
-    /// corpus runs its BSC cases through sessions).
+    /// 0 = AWGN, 1 = BSC, 2 = Rayleigh with CSI.
     chan: u8,
     /// Index into [`THREAD_COUNTS`].
     threads_idx: usize,
@@ -44,7 +43,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         2usize..5,
         1usize..4,
         0usize..3,
-        0u8..2,
+        0u8..3,
         0usize..4,
         0u8..2,
         0u64..1 << 20,
@@ -83,7 +82,7 @@ impl Scenario {
     }
 }
 
-fn build(sc: &Scenario) -> RxSymbols {
+fn build(sc: &Scenario) -> SessionBuffer {
     let params = sc.params();
     let mut rng_state = sc.seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
     let mut next_byte = move || {
@@ -93,17 +92,28 @@ fn build(sc: &Scenario) -> RxSymbols {
     let msg = Message::random(params.n, &mut next_byte);
     let mut enc = Encoder::new(&params, &msg);
     let schedule = Schedule::new(params.num_spines(), params.tail, params.puncturing);
-    let mut rx = RxSymbols::new(schedule.clone());
-    if sc.chan == 0 {
-        let mut ch = AwgnChannel::new(10.0, sc.seed ^ 0xA);
-        rx.push(&ch.transmit(&enc.next_symbols(2 * schedule.symbols_per_pass())));
-    } else {
-        let mut ch = RayleighChannel::new(18.0, 7, sc.seed ^ 0xC);
-        let ys = ch.transmit(&enc.next_symbols(3 * schedule.symbols_per_pass()));
-        let hs: Vec<_> = (0..ys.len()).map(|i| ch.csi(i).unwrap()).collect();
-        rx.push_with_csi(&ys, &hs);
+    match sc.chan {
+        0 => {
+            let mut rx = RxSymbols::new(schedule.clone());
+            let mut ch = AwgnChannel::new(10.0, sc.seed ^ 0xA);
+            rx.push(&ch.transmit(&enc.next_symbols(2 * schedule.symbols_per_pass())));
+            SessionBuffer::Symbols(rx)
+        }
+        1 => {
+            let mut rx = RxBits::new(schedule.clone());
+            let mut ch = BscChannel::new(0.04, sc.seed ^ 0xB);
+            rx.push(&ch.transmit_bits(&enc.next_bits(8 * schedule.symbols_per_pass())));
+            SessionBuffer::Bits(rx)
+        }
+        _ => {
+            let mut rx = RxSymbols::new(schedule.clone());
+            let mut ch = RayleighChannel::new(18.0, 7, sc.seed ^ 0xC);
+            let ys = ch.transmit(&enc.next_symbols(3 * schedule.symbols_per_pass()));
+            let hs: Vec<_> = (0..ys.len()).map(|i| ch.csi(i).unwrap()).collect();
+            rx.push_with_csi(&ys, &hs);
+            SessionBuffer::Symbols(rx)
+        }
     }
-    rx
 }
 
 fn assert_bitwise_equal(serial: &DecodeResult, parallel: &DecodeResult, context: &str) {
@@ -115,86 +125,75 @@ fn assert_bitwise_equal(serial: &DecodeResult, parallel: &DecodeResult, context:
     );
 }
 
-fn serial_decodes(dec: &BubbleDecoder, rxs: &[RxSymbols]) -> Vec<DecodeResult> {
-    rxs.iter()
-        .map(|rx| DecodeRequest::new(dec, rx).decode())
-        .collect()
-}
-
-/// A long-lived engine and service of one thread budget: the two
-/// whole-block parallel paths.
-struct Paths {
-    engine: DecodeEngine,
-    svc: DecodeService,
-}
-
-impl Paths {
-    fn new(threads: usize) -> Self {
-        Paths {
-            engine: DecodeEngine::new(threads),
-            svc: DecodeService::new(threads, ServiceConfig::default()),
-        }
-    }
-
-    /// Decode `rxs` twice — as one batch, then as one session per
-    /// block with every block submitted before any wait — and require
-    /// `serial` bit for bit.
-    fn assert_match(
-        &self,
-        dec: &Arc<BubbleDecoder>,
-        rxs: &[RxSymbols],
-        serial: &[DecodeResult],
-        context: &str,
-    ) {
-        let threads = self.engine.threads();
-        let batch = self.engine.decode_batch_parallel(dec, rxs);
-        assert_eq!(batch.len(), serial.len(), "{context}");
-        for (s, p) in serial.iter().zip(&batch) {
-            assert_bitwise_equal(s, p, &format!("{context} batch threads {threads}"));
-        }
-        let mut sessions: Vec<Session> = rxs
-            .iter()
-            .map(|rx| {
-                let buffer = SessionBuffer::Symbols(rx.clone());
-                let mut session = self
-                    .svc
-                    .open_session(dec, buffer, SessionOptions::default())
-                    .expect("admitted");
-                session.submit().expect("queued");
-                session
-            })
-            .collect();
-        for (s, session) in serial.iter().zip(&mut sessions) {
-            let p = session
-                .wait()
-                .expect("attempt in flight")
-                .expect("clean session decode");
-            assert_bitwise_equal(s, &p, &format!("{context} sessions threads {threads}"));
-        }
+fn serial_decode(dec: &BubbleDecoder, rx: &SessionBuffer) -> DecodeResult {
+    match rx {
+        SessionBuffer::Symbols(rx) => DecodeRequest::new(dec, rx).decode(),
+        SessionBuffer::Bits(rx) => DecodeRequest::new(dec, rx).decode(),
     }
 }
 
-/// Decode `rxs` through both paths at `threads` and require each
-/// block's serial decode bit for bit.
+fn serial_decodes(dec: &BubbleDecoder, rxs: &[SessionBuffer]) -> Vec<DecodeResult> {
+    rxs.iter().map(|rx| serial_decode(dec, rx)).collect()
+}
+
+/// Decode `rxs` on `svc` twice — as one `decode_batch`, then as one
+/// hand-driven session per block with every block submitted before any
+/// wait — and require `serial` bit for bit.
+fn assert_match(
+    svc: &DecodeService,
+    dec: &Arc<BubbleDecoder>,
+    rxs: &[SessionBuffer],
+    serial: &[DecodeResult],
+    context: &str,
+) {
+    let threads = svc.threads();
+    let batch = svc.decode_batch(dec, rxs.to_vec());
+    assert_eq!(batch.len(), serial.len(), "{context}");
+    for (s, p) in serial.iter().zip(batch) {
+        let p = p.expect("clean batch decode");
+        assert_bitwise_equal(s, &p, &format!("{context} batch threads {threads}"));
+    }
+    let mut sessions: Vec<Session> = rxs
+        .iter()
+        .map(|rx| {
+            let mut session = svc
+                .open_session(dec, rx.clone(), SessionOptions::default())
+                .expect("admitted");
+            session.submit().expect("queued");
+            session
+        })
+        .collect();
+    for (s, session) in serial.iter().zip(&mut sessions) {
+        let p = session
+            .wait()
+            .expect("attempt in flight")
+            .expect("clean session decode");
+        assert_bitwise_equal(s, &p, &format!("{context} sessions threads {threads}"));
+    }
+}
+
+/// Decode `rxs` through both paths on a fresh `threads`-wide service
+/// and require each block's serial decode bit for bit.
 fn assert_paths_match_serial(
     threads: usize,
     dec: &Arc<BubbleDecoder>,
-    rxs: &[RxSymbols],
+    rxs: &[SessionBuffer],
     context: &str,
 ) {
-    Paths::new(threads).assert_match(dec, rxs, &serial_decodes(dec, rxs), context);
+    let svc = DecodeService::new(threads, ServiceConfig::default());
+    assert_match(&svc, dec, rxs, &serial_decodes(dec, rxs), context);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Engine decode ≡ serial decode for arbitrary (k, d, B, channel,
+    /// Service decode ≡ serial decode for arbitrary (k, d, B, channel,
     /// threads, seed), over both metric profiles (the quantized integer
     /// path must be exactly as deterministic on a worker as inline).
     /// Each case decodes three blocks at once so workers really overlap.
     #[test]
     fn engine_decode_is_bit_identical_to_serial(sc in arb_scenario()) {
-        let rxs: Vec<RxSymbols> = (0..3)
+        let rxs: Vec<SessionBuffer> = (0..3)
             .map(|i| build(&Scenario { seed: sc.seed + i, ..sc }))
             .collect();
         assert_paths_match_serial(THREAD_COUNTS[sc.threads_idx], &sc.decoder(), &rxs, &format!("{sc:?}"));
@@ -203,28 +202,24 @@ proptest! {
 
 #[test]
 fn one_engine_decodes_a_parade_of_scenarios_identically() {
-    // A single long-lived engine and service per thread count serve
-    // heterogeneous codes and profiles back to back (the sweep deployment shape); no
-    // state may leak between decodes.
+    // A single long-lived service per thread count serves
+    // heterogeneous codes, channels and profiles back to back (the
+    // sweep deployment shape); no state may leak between decodes.
     for &threads in &THREAD_COUNTS {
-        let paths = Paths::new(threads);
+        let svc = DecodeService::new(threads, ServiceConfig::default());
         for seed in 0..10u64 {
             let sc = Scenario {
                 k: 2 + (seed % 3) as usize,
                 d: 1 + (seed % 3) as usize,
                 b: 4 << (seed % 3),
-                chan: (seed % 2) as u8,
+                chan: (seed % 3) as u8,
                 threads_idx: 0,
                 quantized: seed % 2 == 1,
                 seed: seed * 77 + 5,
             };
             let (dec, rxs) = (sc.decoder(), [build(&sc)]);
-            paths.assert_match(
-                &dec,
-                &rxs,
-                &serial_decodes(&dec, &rxs),
-                &format!("seed {seed}"),
-            );
+            let serial = serial_decodes(&dec, &rxs);
+            assert_match(&svc, &dec, &rxs, &serial, &format!("seed {seed}"));
         }
     }
 }
@@ -254,9 +249,11 @@ fn batch_and_sessions_match_serial_batch() {
         .map(|rx| DecodeRequest::new(&dec, rx).workspace(&mut ws).decode())
         .collect();
     // One caller-held workspace across the serial decodes: the
-    // reference the pooled workers' and sessions' workspaces must match.
+    // reference the pooled workers' workspaces must match.
+    let buffers: Vec<SessionBuffer> = rxs.into_iter().map(SessionBuffer::Symbols).collect();
     for &threads in &THREAD_COUNTS {
-        Paths::new(threads).assert_match(&dec, &rxs, &serial, "serial batch");
+        let svc = DecodeService::new(threads, ServiceConfig::default());
+        assert_match(&svc, &dec, &buffers, &serial, "serial batch");
     }
 }
 
@@ -265,7 +262,7 @@ fn degenerate_csi_ties_resolve_identically_at_every_thread_count() {
     // The ∞-CSI regression from the NaN-safety work: one broken
     // observation makes EVERY candidate cost +∞, so the winner is
     // decided purely by tie-breaking. The canonical (cost, tree, path)
-    // order must make serial and all engine decodes agree exactly.
+    // order must make serial and all service decodes agree exactly.
     let params = CodeParams::default().with_n(64).with_b(8);
     let mut s = 0x1234_5678_9abc_def1u64;
     let msg = Message::random(64, move || {
@@ -297,7 +294,7 @@ fn degenerate_csi_ties_resolve_identically_at_every_thread_count() {
             assert_paths_match_serial(
                 threads,
                 &dec,
-                std::slice::from_ref(&rx),
+                &[SessionBuffer::Symbols(rx.clone())],
                 &format!("inf-CSI {profile:?}"),
             );
         }
@@ -307,7 +304,7 @@ fn degenerate_csi_ties_resolve_identically_at_every_thread_count() {
 #[test]
 fn all_nan_observations_resolve_identically_at_every_thread_count() {
     // Every observation broken: every table entry clamps to +∞ and the
-    // whole search is one big tie. Serial and engine decodes must still
+    // whole search is one big tie. Serial and service decodes must still
     // pick the same (garbage) message and +∞ cost.
     let params = CodeParams::default().with_n(64).with_b(4);
     let schedule = Schedule::new(params.num_spines(), params.tail, params.puncturing);
@@ -322,7 +319,7 @@ fn all_nan_observations_resolve_identically_at_every_thread_count() {
             assert_paths_match_serial(
                 threads,
                 &dec,
-                std::slice::from_ref(&rx),
+                &[SessionBuffer::Symbols(rx.clone())],
                 &format!("all-NaN {profile:?}"),
             );
         }

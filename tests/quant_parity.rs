@@ -7,8 +7,8 @@
 //! under the `spinal-bounds` analytic ML upper bound with the same
 //! slack the PR 3 oracle harness uses. Alongside the parity cells, the
 //! quantized profile's *determinism* contract is pinned: identical
-//! estimates and decodes through serial workspaces, the batched engine
-//! pipeline, and `DecodeService` sessions at thread counts {1, 2, 8}.
+//! estimates and decodes through serial workspaces, `DecodeService`
+//! batches, and `DecodeService` sessions at thread counts {1, 2, 8}.
 //!
 //! Trial counts scale down in debug builds (tier-1 `cargo test -q`)
 //! and up in `--release` (the CI `quant-parity` job).
@@ -16,7 +16,7 @@
 use spinal_codes::bounds::{BoundChannel, SpinalBound};
 use spinal_codes::core::MetricProfile;
 use spinal_codes::sim::bler::BlerRun;
-use spinal_codes::{CodeParams, DecodeEngine, DecodeWorkspace, LinkChannel};
+use spinal_codes::{CodeParams, DecodeService, DecodeWorkspace, LinkChannel, ServiceConfig};
 
 /// Trials per grid cell (see module docs).
 fn trials_per_cell() -> usize {
@@ -133,7 +133,7 @@ fn quantized_bler_tracks_exact_within_slack_and_under_the_bound() {
 }
 
 /// The determinism half of the acceptance: quantized measurements are
-/// bit-identical across serial and batched-engine dispatch at thread
+/// bit-identical across serial and service-batched dispatch at thread
 /// counts {1, 2, 8}.
 #[test]
 fn quantized_estimates_are_identical_across_engine_paths() {
@@ -150,10 +150,10 @@ fn quantized_estimates_are_identical_across_engine_paths() {
         let mut ws = DecodeWorkspace::new();
         let serial = run.measure(6.0, symbols, trials, 11, &mut ws);
         for threads in [1usize, 2, 8] {
-            let engine = DecodeEngine::new(threads);
+            let svc = DecodeService::new(threads, ServiceConfig::default());
             assert_eq!(
                 serial,
-                run.measure_with_engine(6.0, symbols, trials, 11, &engine),
+                run.measure_with_service(6.0, symbols, trials, 11, &svc),
                 "{link:?} threads {threads}"
             );
         }
@@ -166,8 +166,8 @@ fn quantized_estimates_are_identical_across_engine_paths() {
 #[test]
 fn quantized_sessions_and_batch_match_serial_decodes() {
     use spinal_codes::{
-        AwgnChannel, BubbleDecoder, Channel, DecodeService, Encoder, Message, RxSymbols, Schedule,
-        ServiceConfig, Session, SessionBuffer, SessionOptions,
+        AwgnChannel, BubbleDecoder, Channel, Encoder, Message, RxSymbols, Schedule, Session,
+        SessionBuffer, SessionOptions,
     };
     use std::sync::Arc;
     let params = CodeParams::default().with_n(96).with_b(32);
@@ -217,8 +217,9 @@ fn quantized_sessions_and_batch_match_serial_decodes() {
             assert_eq!(s.message, p.message, "threads {threads}");
             assert_eq!(s.cost.to_bits(), p.cost.to_bits(), "threads {threads}");
         }
-        let batch = DecodeEngine::new(threads).decode_batch_parallel(&dec, &rxs);
-        for (s, p) in serial.iter().zip(&batch) {
+        let buffers = rxs.iter().cloned().map(SessionBuffer::Symbols).collect();
+        for (s, p) in serial.iter().zip(svc.decode_batch(&dec, buffers)) {
+            let p = p.expect("clean batch decode");
             assert_eq!(s.message, p.message, "batch threads {threads}");
             assert_eq!(
                 s.cost.to_bits(),
