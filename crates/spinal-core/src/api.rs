@@ -1,12 +1,12 @@
 //! The unified decode entry point: one request builder over every
 //! dispatch combination.
 //!
-//! A decode is a decoder, observations, and two optional resources: a
-//! caller-held [`DecodeWorkspace`] and an incremental [`TableCache`].
-//! [`DecodeRequest`] names them in one builder:
+//! A decode is a decoder, observations, and one optional resource: a
+//! caller-held [`DecodeWorkspace`]. [`DecodeRequest`] names them in one
+//! builder:
 //!
 //! ```
-//! use spinal_core::{BubbleDecoder, CodeParams, DecodeRequest, DecodeWorkspace, TableCache};
+//! use spinal_core::{BubbleDecoder, CodeParams, DecodeRequest, DecodeWorkspace};
 //! # use spinal_core::{Encoder, Message, RxSymbols, Schedule};
 //! # use spinal_channel::{AwgnChannel, Channel};
 //! # let params = CodeParams::default().with_n(64);
@@ -18,17 +18,13 @@
 //! # let mut rx = RxSymbols::new(schedule);
 //! # rx.push(&channel.transmit(&tx));
 //! let decoder = BubbleDecoder::new(&params);
-//! let mut cache = TableCache::new();
 //! let mut ws = DecodeWorkspace::new();
 //!
 //! // One-shot:
 //! let out = DecodeRequest::new(&decoder, &rx).decode();
 //!
-//! // Hot loop: reuse buffers, fold in only new observations per attempt:
-//! let again = DecodeRequest::new(&decoder, &rx)
-//!     .workspace(&mut ws)
-//!     .cache(&mut cache)
-//!     .decode();
+//! // Hot loop: reuse the workspace's buffers on every attempt:
+//! let again = DecodeRequest::new(&decoder, &rx).workspace(&mut ws).decode();
 //! assert_eq!(out.message, again.message);
 //! ```
 //!
@@ -45,18 +41,8 @@
 //!
 //! | request | resolves to |
 //! |---------|-------------|
-//! | symbols | workspace decode |
-//! | symbols + `cache` | incremental [`TableCache`] re-decode (exact profile) |
+//! | symbols | workspace decode, its tables built from the buffer in one pass |
 //! | bits | workspace Hamming decode |
-//!
-//! **`cache` serves the exact profile only.** A [`TableCache`] holds
-//! per-symbol `f64` branch-metric tables. The Hamming metric has no
-//! tables to cache, so a cache supplied with [`RxObservations::Bits`] is
-//! left untouched. A [`MetricProfile::Quantized`](crate::MetricProfile)
-//! decode leaves it untouched too: its decode-wide scale changes with
-//! every new observation, so every attempt requantizes every table, and
-//! building them from the buffer in one pass costs less than syncing a
-//! cache and quantizing from it.
 //!
 //! A request decodes one block on the calling thread. To decode many
 //! blocks across cores, use a [`DecodeService`](crate::DecodeService):
@@ -66,7 +52,6 @@
 
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
 use crate::rx::{RxBits, RxSymbols};
-use crate::tables::TableCache;
 
 /// A receive buffer of either observation kind: complex symbols
 /// (AWGN/fading, Euclidean branch metric) or hard bits (BSC, Hamming
@@ -111,16 +96,14 @@ impl<'a> From<&'a RxBits> for RxObservations<'a> {
 }
 
 /// One decode, described declaratively: which decoder, which
-/// observations, and which resources (workspace, incremental table
-/// cache) the attempt may use. See the [module docs](self) for the
-/// dispatch table.
+/// observations, and which workspace the attempt may use. See the
+/// [module docs](self) for the dispatch table.
 #[must_use = "a DecodeRequest does nothing until .decode() is called"]
 #[derive(Debug)]
 pub struct DecodeRequest<'a> {
     decoder: &'a BubbleDecoder,
     rx: RxObservations<'a>,
     workspace: Option<&'a mut DecodeWorkspace>,
-    cache: Option<&'a mut TableCache>,
 }
 
 impl<'a> DecodeRequest<'a> {
@@ -130,7 +113,6 @@ impl<'a> DecodeRequest<'a> {
             decoder,
             rx: rx.into(),
             workspace: None,
-            cache: None,
         }
     }
 
@@ -142,19 +124,6 @@ impl<'a> DecodeRequest<'a> {
         self
     }
 
-    /// Fold in only the observations received since the previous decode
-    /// through this cache (the §7.1 rateless attempt loop) instead of
-    /// rebuilding every branch-metric table from the whole buffer.
-    /// Bit-identical to the uncached decode. Serves the exact profile: a
-    /// no-op for [`RxObservations::Bits`] (the Hamming metric builds no
-    /// tables) and for quantized decoders, which build their tables
-    /// from the buffer in one pass on every attempt (see the
-    /// [module docs](self)).
-    pub fn cache(mut self, cache: &'a mut TableCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Run the decode through the code path the module-level dispatch
     /// table names.
     pub fn decode(self) -> DecodeResult {
@@ -162,7 +131,6 @@ impl<'a> DecodeRequest<'a> {
             decoder,
             rx,
             workspace,
-            cache,
         } = self;
         let mut local;
         let ws = match workspace {
@@ -172,10 +140,9 @@ impl<'a> DecodeRequest<'a> {
                 &mut local
             }
         };
-        match (rx, cache) {
-            (RxObservations::Symbols(rx), Some(cache)) => decoder.decode_cached_impl(rx, cache, ws),
-            (RxObservations::Symbols(rx), None) => decoder.decode_symbols_impl(rx, ws),
-            (RxObservations::Bits(rx), _) => decoder.decode_bits_impl(rx, ws),
+        match rx {
+            RxObservations::Symbols(rx) => decoder.decode_symbols_impl(rx, ws),
+            RxObservations::Bits(rx) => decoder.decode_bits_impl(rx, ws),
         }
     }
 }
@@ -213,15 +180,11 @@ mod tests {
             let base = DecodeRequest::new(&dec, &rx).decode();
             assert_eq!(base.message, msg, "{profile:?}");
 
+            // A fresh workspace, then the same one warm.
             let mut ws = DecodeWorkspace::new();
-            let mut cache = TableCache::new();
-            let combos: [DecodeResult; 3] = [
+            let combos: [DecodeResult; 2] = [
                 DecodeRequest::new(&dec, &rx).workspace(&mut ws).decode(),
-                DecodeRequest::new(&dec, &rx)
-                    .workspace(&mut ws)
-                    .cache(&mut cache)
-                    .decode(),
-                DecodeRequest::new(&dec, &rx).cache(&mut cache).decode(),
+                DecodeRequest::new(&dec, &rx).workspace(&mut ws).decode(),
             ];
             for (i, out) in combos.iter().enumerate() {
                 assert_eq!(out.message, base.message, "{profile:?} combo {i}");
@@ -235,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn bits_requests_decode_and_ignore_cache() {
+    fn bits_requests_decode_through_a_workspace() {
         let params = CodeParams::default().with_n(64).with_b(32);
         let mut state = 0x5EEDu64;
         let msg = Message::random(64, || {
@@ -252,37 +215,10 @@ mod tests {
         let base = DecodeRequest::new(&dec, &rx).decode();
         assert_eq!(base.message, msg);
 
-        // A cache supplied with bits is left untouched.
-        let mut cache = TableCache::new();
         let mut ws = DecodeWorkspace::new();
-        let cached = DecodeRequest::new(&dec, &rx)
-            .workspace(&mut ws)
-            .cache(&mut cache)
-            .decode();
-        assert_eq!(cached.message, base.message);
-        assert_eq!(cached.cost.to_bits(), base.cost.to_bits());
-    }
-
-    #[test]
-    fn incremental_cache_requests_match_fresh_decodes() {
-        // Grow the buffer in stages; each cached request must equal a
-        // from-scratch request over the same buffer.
-        let (params, _, full) = setup(64, 11);
-        let dec = BubbleDecoder::new(&params);
-        let mut ws = DecodeWorkspace::new();
-        let mut cache = TableCache::new();
-        // Rebuild staged buffers by replaying prefixes through a fresh
-        // channel — simpler: reuse the one buffer, call twice (second
-        // call folds in nothing new) and compare against fresh.
-        for _ in 0..2 {
-            let cached = DecodeRequest::new(&dec, &full)
-                .workspace(&mut ws)
-                .cache(&mut cache)
-                .decode();
-            let fresh = DecodeRequest::new(&dec, &full).decode();
-            assert_eq!(cached.message, fresh.message);
-            assert_eq!(cached.cost.to_bits(), fresh.cost.to_bits());
-        }
+        let reused = DecodeRequest::new(&dec, &rx).workspace(&mut ws).decode();
+        assert_eq!(reused.message, base.message);
+        assert_eq!(reused.cost.to_bits(), base.cost.to_bits());
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //!
 //! Committed decisions are recorded in an append-only arena of
 //! `(parent, edge)` records, so memory for history is `O(B·n/k)` per
-//! attempt rather than the full tree. The decoder rebuilds its tree from
-//! the receive buffer on every attempt (§7.1) — though the exact
-//! profile's *branch-metric tables* are additive over observations and
-//! can be carried across attempts through a [`TableCache`]. (The
-//! quantized profile's tables share one decode-wide scale, so they are
-//! built afresh from the buffer each attempt; see [`crate::quant`].)
+//! attempt rather than the full tree. The decoder rebuilds its tree and
+//! its branch-metric tables from the receive buffer on every attempt
+//! (§7.1): one walk over the buffer writes every observation's exact
+//! tables into one flat slab, which the exact profile decodes from and
+//! the quantized profile quantizes (see [`crate::quant`]).
 //!
 //! # Metric profiles
 //!
@@ -52,19 +51,18 @@
 //!
 //! 1. run a `B/16` beam over the attempt's tables, and return its
 //!    candidate if the check accepts it;
-//! 2. otherwise run the configured `B` over the same tables (built or
-//!    synced once per attempt), which is exactly the decode without a
-//!    ladder, and mark the result [`escalated`](DecodeResult::escalated).
+//! 2. otherwise run the configured `B` over the same tables (built once
+//!    per attempt), which is exactly the decode without a ladder, and
+//!    mark the result [`escalated`](DecodeResult::escalated).
 //!
-//! Every entry point — symbols, symbols with a [`TableCache`], and bits,
-//! under both profiles — goes through the one ladder helper, so
-//! requests, engine batches and service sessions stay bit-identical. A
-//! rung of width `w` equals a fresh decoder built from
-//! `params.with_b(w)`, bit for bit. The top rung is `B`, so a block
-//! decodes at the same subpass boundary as without the ladder, or an
-//! earlier one; the exception is a check that falsely accepts a wrong
-//! first-rung candidate. Each escalation is one more wrong candidate
-//! offered to the check.
+//! Every entry point — symbols and bits, under both profiles — goes
+//! through the one ladder helper, so requests, service batches and
+//! service sessions stay bit-identical. A rung of width `w` equals a
+//! fresh decoder built from `params.with_b(w)`, bit for bit. The top
+//! rung is `B`, so a block decodes at the same subpass boundary as
+//! without the ladder, or an earlier one; the exception is a check that
+//! falsely accepts a wrong first-rung candidate. Each escalation is one
+//! more wrong candidate offered to the check.
 //!
 //! The rung and the gate are derived, not configured. They rest on
 //! replays of the transport benchmark's transfers through `spinal-net`
@@ -95,7 +93,7 @@
 //!   `|y − h·x|²` separates per I/Q dimension:
 //!   `|y|² + (|h|²·x_I² − 2·Re(y·h̄)·x_I) + (|h|²·x_Q² − 2·Im(y·h̄)·x_Q)`.
 //!   Everything except the constellation point is fixed per received
-//!   symbol, so each decode step builds two `2^c`-entry lookup tables per
+//!   symbol, so each attempt builds two `2^c`-entry lookup tables per
 //!   observation and the per-candidate cost collapses to two table loads
 //!   indexed by the symbol bits of the RNG word. The BSC analogue is a
 //!   2-entry table per received bit. Non-finite table values (degenerate
@@ -134,7 +132,6 @@ use crate::params::CodeParams;
 use crate::quant::{pair_delta, radix_select_keys, radix_threshold, MetricProfile, QuantTables};
 use crate::rx::{RxBits, RxEntry, RxSymbols};
 use crate::symbols::SymbolGen;
-use crate::tables::{SymbolTables, TableCache};
 use std::cmp::Ordering;
 
 /// Result of one decode attempt.
@@ -453,10 +450,9 @@ fn leaf_before<C: CostKind>(a: &(C, u32, u64), b: &(C, u32, u64)) -> bool {
 }
 
 /// Write one received symbol's `[I table | Q table]` branch metrics
-/// into `out` (`2m` entries for `m` levels). The one expression every
-/// table builder uses — the exact profile's per-step path and
-/// [`TableCache`], and the quantized profile's
-/// [`QuantTables::build`] — so their tables agree bit for bit.
+/// into `out` (`2m` entries for `m` levels): the one expression of the
+/// table build both profiles decode from
+/// ([`QuantTables::build_exact`]).
 #[inline]
 pub(crate) fn observation_tables(levels: &[f64], e: &RxEntry, out: &mut [f64]) {
     let z = e.y * e.h.conj();
@@ -467,24 +463,6 @@ pub(crate) fn observation_tables(levels: &[f64], e: &RxEntry, out: &mut [f64]) {
     for ((i, q), &lv) in ti.iter_mut().zip(tq).zip(levels) {
         *i = finite_or_inf(h2 * lv * lv - 2.0 * z.re * lv + y2);
         *q = finite_or_inf(h2 * lv * lv - 2.0 * z.im * lv);
-    }
-}
-
-/// Build the per-entry `[I table, Q table]` branch-metric tables for a
-/// batch of received symbols, appending to `tables` and recording each
-/// entry's RNG index in `rngs`.
-pub(crate) fn build_symbol_tables(
-    levels: &[f64],
-    entries: &[RxEntry],
-    tables: &mut Vec<f64>,
-    rngs: &mut Vec<u32>,
-) {
-    let tab = 2 * levels.len();
-    let start = tables.len();
-    tables.resize(start + entries.len() * tab, 0.0);
-    for (e, out) in entries.iter().zip(tables[start..].chunks_exact_mut(tab)) {
-        observation_tables(levels, e, out);
-        rngs.push(e.rng_index);
     }
 }
 
@@ -577,60 +555,8 @@ trait MetricSource<C: CostKind> {
     fn step(&mut self, spine_idx: usize) -> StepMetric<'_, C>;
 }
 
-/// Exact profile, tables built per step into reusable scratch (the
-/// original allocation-free hot path).
-struct PerStepSymbols<'a> {
-    levels: &'a [f64],
-    rx: &'a RxSymbols,
-    m: usize,
-    i_shift: usize,
-    q_shift: usize,
-    tables: &'a mut Vec<f64>,
-    rngs: &'a mut Vec<u32>,
-}
-
-impl MetricSource<f64> for PerStepSymbols<'_> {
-    fn step(&mut self, spine_idx: usize) -> StepMetric<'_, f64> {
-        self.tables.clear();
-        self.rngs.clear();
-        build_symbol_tables(
-            self.levels,
-            self.rx.spine_entries(spine_idx),
-            self.tables,
-            self.rngs,
-        );
-        StepMetric::Symbols {
-            rngs: self.rngs,
-            tables: self.tables,
-            m: self.m,
-            i_shift: self.i_shift,
-            q_shift: self.q_shift,
-        }
-    }
-}
-
-/// Exact profile over cached per-spine tables (the [`TableCache`] path).
-struct CachedSymbols<'a> {
-    st: &'a SymbolTables,
-    m: usize,
-    i_shift: usize,
-    q_shift: usize,
-}
-
-impl MetricSource<f64> for CachedSymbols<'_> {
-    fn step(&mut self, spine_idx: usize) -> StepMetric<'_, f64> {
-        StepMetric::Symbols {
-            rngs: &self.st.rngs[spine_idx],
-            tables: &self.st.tables[spine_idx],
-            m: self.m,
-            i_shift: self.i_shift,
-            q_shift: self.q_shift,
-        }
-    }
-}
-
-/// A flat prepared table slab with per-spine spans (the quantized
-/// profile's layout).
+/// One attempt's flat table slab with per-spine spans: the exact `f64`
+/// entries or their quantized `u16` image.
 struct PreparedSymbols<'a, C: CostKind> {
     tables: &'a [C::Entry],
     rngs: &'a [u32],
@@ -741,9 +667,9 @@ fn beam_search<C: CostKind, S: MetricSource<C>>(
 }
 
 /// Reusable decode buffers: the frontier double buffers (structure of
-/// arrays, one per metric profile), branch-metric tables (the exact
-/// profile's per-step scratch and the quantized profile's
-/// [`QuantTables`]), selection scratch, and the committed history arena.
+/// arrays, one per metric profile), the attempt's branch-metric tables
+/// (one [`QuantTables`], whose exact slab both profiles read), selection
+/// scratch, and the committed history arena.
 ///
 /// A workspace is parameter- and profile-agnostic — buffers grow to fit
 /// whatever decode uses them — and intentionally cheap to create empty.
@@ -754,13 +680,11 @@ fn beam_search<C: CostKind, S: MetricSource<C>>(
 pub struct DecodeWorkspace {
     fr: Frontier<f64>,
     qfr: Frontier<u32>,
-    // Exact-profile per-step scratch.
-    tables: Vec<f64>,
-    rngs: Vec<u32>,
     key_min: Vec<f64>,
     qkey_min: Vec<u32>,
-    // Quantized-profile tables, built from the receive buffer on every
-    // attempt.
+    // The attempt's tables, built from the receive buffer on every
+    // attempt: the exact slab alone for the exact profile, quantized
+    // too for the quantized one.
     quant: QuantTables,
     // Selection scratch + committed root advancements, shared across
     // profiles.
@@ -782,13 +706,12 @@ impl DecodeWorkspace {
         Self::default()
     }
 
-    /// The exact profile's beam buffers, with the per-step table scratch.
-    fn exact_parts(&mut self) -> (BeamScratch<'_, f64>, &mut Vec<f64>, &mut Vec<u32>) {
+    /// The exact profile's beam buffers, with the attempt's tables.
+    fn exact_parts(&mut self) -> (BeamScratch<'_, f64>, &QuantTables) {
         let DecodeWorkspace {
             fr,
-            tables,
-            rngs,
             key_min,
+            quant,
             order,
             key_to_new,
             new_roots,
@@ -807,7 +730,7 @@ impl DecodeWorkspace {
             tree_roots,
             sel_scratch,
         };
-        (sc, tables, rngs)
+        (sc, quant)
     }
 
     /// The quantized profile's beam buffers, with the prepared
@@ -954,10 +877,13 @@ impl BubbleDecoder {
 
     /// The symbol-observation decode under this decoder's metric
     /// profile — the computation every symbol form of
-    /// [`DecodeRequest`](crate::DecodeRequest) without a cache resolves
-    /// to. The branch metric is `Σ_t |y_t − h_t·x_t(s)|²` over the
-    /// symbols received for each spine value (§4.1, extended with CSI
-    /// when the buffer carries it).
+    /// [`DecodeRequest`](crate::DecodeRequest) resolves to. The branch
+    /// metric is `Σ_t |y_t − h_t·x_t(s)|²` over the symbols received for
+    /// each spine value (§4.1, extended with CSI when the buffer carries
+    /// it). Both profiles build the attempt's tables from `rx` once, then
+    /// climb the ladder over them: the exact profile over the `f64` slab
+    /// of [`QuantTables::build_exact`], the quantized one over its `u16`
+    /// image.
     pub(crate) fn decode_symbols_impl(
         &self,
         rx: &RxSymbols,
@@ -966,23 +892,17 @@ impl BubbleDecoder {
         assert_eq!(rx.n_spines(), self.params.num_spines());
         match self.profile {
             MetricProfile::Exact => {
-                let c = self.c_bits();
-                let levels = self.levels();
+                ws.quant.build_exact(self.levels(), rx);
                 self.climb(|b| {
-                    let (mut sc, tables, rngs) = ws.exact_parts();
-                    let mut src = PerStepSymbols {
-                        levels,
-                        rx,
-                        m: levels.len(),
-                        i_shift: 32 - c,
-                        q_shift: 16 - c,
-                        tables,
-                        rngs,
-                    };
+                    let (mut sc, slab) = ws.exact_parts();
+                    let mut src = self.prepared(&slab.exact, slab);
                     self.run_beam(&mut src, &mut sc, b, (1.0, 0.0))
                 })
             }
-            MetricProfile::Quantized => self.decode_quant_symbols(rx, ws),
+            MetricProfile::Quantized => {
+                ws.quant.build(self.levels(), rx);
+                self.climb(|b| self.decode_quant_prepared(ws, b))
+            }
         }
     }
 
@@ -999,44 +919,23 @@ impl BubbleDecoder {
         })
     }
 
-    /// The incremental-table decode — the computation every
-    /// symbol-plus-cache form of [`DecodeRequest`](crate::DecodeRequest)
-    /// resolves to, bit-identical to the uncached decode under both
-    /// profiles. Under the exact profile each call folds in only the
-    /// observations received since the previous call through `cache`
-    /// (the §7.1 attempt loop). The quantized profile leaves `cache`
-    /// untouched: its decode-wide scale changes with every new
-    /// observation, so each attempt requantizes every table anyway, and
-    /// the one-pass [`QuantTables::build`] from the buffer costs less
-    /// than syncing the cache and quantizing from it.
-    pub(crate) fn decode_cached_impl(
+    /// The beam's view of one attempt's `tables` — `slab`'s exact
+    /// entries or their quantized image — with `slab`'s spans and RNG
+    /// indices.
+    fn prepared<'a, C: CostKind>(
         &self,
-        rx: &RxSymbols,
-        cache: &mut TableCache,
-        ws: &mut DecodeWorkspace,
-    ) -> DecodeResult {
-        assert_eq!(rx.n_spines(), self.params.num_spines());
-        match self.profile {
-            MetricProfile::Exact => {
-                let c = self.c_bits();
-                let mut src = CachedSymbols {
-                    st: cache.sync(self.levels(), rx),
-                    m: self.levels().len(),
-                    i_shift: 32 - c,
-                    q_shift: 16 - c,
-                };
-                self.climb(|b| self.run_beam(&mut src, &mut ws.exact_parts().0, b, (1.0, 0.0)))
-            }
-            MetricProfile::Quantized => self.decode_quant_symbols(rx, ws),
+        tables: &'a [C::Entry],
+        slab: &'a QuantTables,
+    ) -> PreparedSymbols<'a, C> {
+        let c = self.c_bits();
+        PreparedSymbols {
+            tables,
+            rngs: &slab.rngs,
+            spans: &slab.spans,
+            m: self.levels().len(),
+            i_shift: 32 - c,
+            q_shift: 16 - c,
         }
-    }
-
-    /// The quantized symbol decode every symbol entry point shares:
-    /// build the attempt's tables from `rx` in one pass, then climb the
-    /// ladder over them.
-    fn decode_quant_symbols(&self, rx: &RxSymbols, ws: &mut DecodeWorkspace) -> DecodeResult {
-        ws.quant.build(self.levels(), rx);
-        self.climb(|b| self.decode_quant_prepared(ws, b))
     }
 
     /// The [beam ladder](self#beam-ladder) every entry point goes
@@ -1068,17 +967,8 @@ impl BubbleDecoder {
         if self.params.d.min(self.params.num_spines()) == 1 {
             return self.decode_quant_d1(ws, b);
         }
-        let c = self.c_bits();
-        let m = self.levels().len();
         let (mut sc, quant) = ws.quant_parts();
-        let mut src = PreparedSymbols::<u32> {
-            tables: &quant.tables,
-            rngs: &quant.rngs,
-            spans: &quant.spans,
-            m,
-            i_shift: 32 - c,
-            q_shift: 16 - c,
-        };
+        let mut src = self.prepared(&quant.tables, quant);
         self.run_beam(&mut src, &mut sc, b, quant.dequant())
     }
 
@@ -1695,6 +1585,16 @@ mod tests {
             assert_eq!(q_reused.message, q_fresh.message);
             assert_eq!(q_reused.cost.to_bits(), q_fresh.cost.to_bits());
         }
+        // Both profiles share the workspace's one slab: an exact attempt
+        // over a shorter buffer must not read what the longer attempts
+        // left behind.
+        let mut short = RxSymbols::new(Schedule::new(p.num_spines(), p.tail, p.puncturing));
+        let mut ch_short = AwgnChannel::new(12.0, 9);
+        short.push(&ch_short.transmit(&Encoder::new(&p, &msg).next_symbols(p.symbols_per_pass())));
+        let reused = DecodeRequest::new(&dec, &short).workspace(&mut ws).decode();
+        let fresh = DecodeRequest::new(&dec, &short).decode();
+        assert_eq!(reused.message, fresh.message);
+        assert_eq!(reused.cost.to_bits(), fresh.cost.to_bits());
         // The same workspace then serves a different code and metric.
         let p2 = CodeParams::default()
             .with_n(60)
@@ -1827,18 +1727,9 @@ mod tests {
     /// `u16` tables, the way [`BubbleDecoder::run_beam`] decodes bits):
     /// the reference the specialised `d = 1` kernel must reproduce.
     fn generic_quant_decode(dec: &BubbleDecoder, rx: &RxSymbols) -> DecodeResult {
-        let m = dec.levels().len();
-        let c = dec.c_bits();
         let mut quant = QuantTables::new();
         quant.build(dec.levels(), rx);
-        let mut src = PreparedSymbols::<u32> {
-            tables: &quant.tables,
-            rngs: &quant.rngs,
-            spans: &quant.spans,
-            m,
-            i_shift: 32 - c,
-            q_shift: 16 - c,
-        };
+        let mut src = dec.prepared(&quant.tables, &quant);
         let mut ws = DecodeWorkspace::new();
         let b = dec.params_ref().b;
         dec.run_beam(&mut src, &mut ws.quant_parts().0, b, quant.dequant())
@@ -2008,75 +1899,6 @@ mod tests {
             quant.cost,
             exact.cost
         );
-    }
-
-    #[test]
-    fn cached_decode_is_bit_identical_to_uncached_across_attempts() {
-        // The incremental-table path: grow the buffer across attempts,
-        // decoding each time through ONE TableCache. Every attempt must
-        // match the uncached decode bit for bit, under both profiles.
-        let p = CodeParams::default().with_n(96).with_b(32);
-        let msg = rand_msg(96, 19);
-        let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
-        for profile in [MetricProfile::Exact, MetricProfile::Quantized] {
-            let dec = BubbleDecoder::new(&p).with_profile(profile);
-            let mut enc = Encoder::new(&p, &msg);
-            let mut ch = AwgnChannel::new(7.0, 20);
-            let mut rx = RxSymbols::new(schedule.clone());
-            let mut cache = TableCache::new();
-            let mut ws = DecodeWorkspace::new();
-            for attempt in 0..4 {
-                rx.push(&ch.transmit(&enc.next_symbols(p.symbols_per_pass() / 2 + 3)));
-                let cached = DecodeRequest::new(&dec, &rx)
-                    .cache(&mut cache)
-                    .workspace(&mut ws)
-                    .decode();
-                let plain = DecodeRequest::new(&dec, &rx).decode();
-                assert_eq!(
-                    cached.message, plain.message,
-                    "{profile:?} attempt {attempt}"
-                );
-                assert_eq!(
-                    cached.cost.to_bits(),
-                    plain.cost.to_bits(),
-                    "{profile:?} attempt {attempt}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn one_cache_survives_buffer_swaps_and_csi() {
-        // A cache reused across *different* trials (new receive buffers,
-        // fading CSI) must transparently rebuild, never serve stale
-        // tables.
-        use spinal_channel::RayleighChannel;
-        let p = CodeParams::default().with_n(64).with_b(16);
-        let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
-        let dec = BubbleDecoder::new(&p);
-        let mut cache = TableCache::new();
-        let mut ws = DecodeWorkspace::new();
-        for seed in 0..4u64 {
-            let msg = rand_msg(64, 300 + seed);
-            let mut enc = Encoder::new(&p, &msg);
-            let mut rx = RxSymbols::new(schedule.clone());
-            if seed % 2 == 0 {
-                let mut ch = AwgnChannel::new(12.0, 400 + seed);
-                rx.push(&ch.transmit(&enc.next_symbols(2 * p.symbols_per_pass())));
-            } else {
-                let mut ch = RayleighChannel::new(22.0, 5, 400 + seed);
-                let ys = ch.transmit(&enc.next_symbols(3 * p.symbols_per_pass()));
-                let hs: Vec<_> = (0..ys.len()).map(|i| ch.csi(i).unwrap()).collect();
-                rx.push_with_csi(&ys, &hs);
-            }
-            let cached = DecodeRequest::new(&dec, &rx)
-                .cache(&mut cache)
-                .workspace(&mut ws)
-                .decode();
-            let plain = DecodeRequest::new(&dec, &rx).decode();
-            assert_eq!(cached.message, plain.message, "seed {seed}");
-            assert_eq!(cached.cost.to_bits(), plain.cost.to_bits(), "seed {seed}");
-        }
     }
 }
 

@@ -26,7 +26,9 @@
 //! [`DecodeWorkspace`], and hands the job's failure half a
 //! [`DecodeFailure::WorkerPanicked`], which the service delivers
 //! through the same session slot a success would use, so waiters never
-//! hang. The poisoned thread then exits.
+//! hang. The poisoned thread then exits. A 1-thread service's inline
+//! attempts run under the same catch ([`run_caught`]), so a decoder
+//! panic ends its attempt the same way at every width.
 
 use crate::decoder::DecodeWorkspace;
 use parking_lot::{Condvar, Mutex};
@@ -41,9 +43,10 @@ use std::sync::Arc;
 /// [`decode_batch`](crate::service::DecodeService::decode_batch)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeFailure {
-    /// The decode job panicked on its worker. The panic payload's
-    /// message is preserved; the worker was torn down and its slot
-    /// respawned with a fresh workspace.
+    /// The decode job panicked, on a pool worker or inline at
+    /// `submit`. The panic payload's message is preserved; the workspace
+    /// it ran on was replaced with a fresh one (a pool worker's slot is
+    /// respawned).
     WorkerPanicked {
         /// The panic payload, when it was a string (the overwhelmingly
         /// common case); `"non-string panic payload"` otherwise.
@@ -169,6 +172,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Run one job's work half on `ws`, catching a panic as the attempt's
+/// [`DecodeFailure::WorkerPanicked`]: the one place a decode panic is
+/// contained, for pool workers and inline attempts alike. After a
+/// failure `ws` may hold a half-finished decode's state; the caller
+/// replaces it.
+pub(crate) fn run_caught(
+    run: impl FnOnce(&mut DecodeWorkspace),
+    ws: &mut DecodeWorkspace,
+) -> Result<(), DecodeFailure> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(ws))).map_err(|payload| {
+        DecodeFailure::WorkerPanicked {
+            payload_msg: panic_message(payload.as_ref()),
+        }
+    })
+}
+
 fn worker_loop(shared: &Arc<PoolShared>, slot: usize) {
     let mut ws = DecodeWorkspace::new();
     loop {
@@ -188,10 +207,7 @@ fn worker_loop(shared: &Arc<PoolShared>, slot: usize) {
         // A panicking job must not take the process down or leave its
         // waiter hanging: catch it, respawn the slot, resolve the
         // attempt as a structured failure, and let this thread die.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut ws)));
-        if let Err(payload) = outcome {
-            let payload_msg = panic_message(payload.as_ref());
-            drop(payload);
+        if let Err(failure) = run_caught(run, &mut ws) {
             {
                 let mut st = shared.state.lock();
                 if !st.shutdown {
@@ -200,7 +216,7 @@ fn worker_loop(shared: &Arc<PoolShared>, slot: usize) {
                     st.handles[slot] = spawn_worker(shared, slot);
                 }
             }
-            on_fail(DecodeFailure::WorkerPanicked { payload_msg });
+            on_fail(failure);
             return;
         }
     }

@@ -54,7 +54,7 @@
 //! | [`rx`] | §4.2 | receive buffers (AWGN/fading/BSC) |
 //! | [`decoder`] | §4 | the bubble decoder |
 //! | [`api`] | §4, §7.1 | [`DecodeRequest`]: the single decode entry point |
-//! | [`quant`] | §7 | fixed-point metric profile: u16 tables, saturating u32 costs, radix selection |
+//! | [`quant`] | §7 | each attempt's branch-metric tables, built in one pass for both metric profiles; the fixed-point profile: u16 tables, saturating u32 costs, radix selection |
 //! | [`service`] | §7, §7.1 | many-session decode service, the one way to decode across cores: per-session state, backpressure, metrics, batches, and the private worker pool that decodes whole blocks |
 //! | [`ml`] | §4.1 | exhaustive exact-ML reference decoder |
 //! | [`sequential`] | §4.3 | classical stack sequential decoder |
@@ -86,7 +86,6 @@ pub mod sequential;
 pub mod service;
 pub mod spine;
 pub mod symbols;
-mod tables;
 
 pub use api::{DecodeRequest, RxObservations};
 pub use bitmode::{BitEncoder, BitModeDecoder, RxLlrs};
@@ -108,4 +107,3 @@ pub use service::{
     SessionOptions, SubmitError,
 };
 pub use symbols::SymbolGen;
-pub use tables::TableCache;

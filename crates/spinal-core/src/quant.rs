@@ -22,12 +22,10 @@
 //!   scale depends on every table, so one new observation can move it
 //!   and requantize every entry. Each attempt therefore builds its
 //!   tables afresh (`QuantTables::build`): one walk over the buffer
-//!   writes the exact entries into a flat `f64` slab while tracking the
-//!   per-table minima and the range, then one pass quantizes the slab.
-//!   The exact profile's incremental
-//!   [`TableCache`](crate::TableCache) would save only the `f64`
-//!   entries, and syncing it cost more than this fused build on every
-//!   attempt measured, so a quantized decode leaves the cache untouched.
+//!   writes the exact entries into a flat `f64` slab, then the quantize
+//!   pass finds the per-table minima and the range and writes the `u16`
+//!   slab. The walk alone is the exact profile's whole table build, so
+//!   both profiles build their tables from the one slab.
 //! * **Saturation, never wrap**: the `+∞` clamp of a degenerate
 //!   observation becomes the [`Q_INF`] sentinel; accumulation widens it
 //!   to `u32::MAX` and every add saturates, so a broken observation
@@ -52,8 +50,6 @@
 
 use crate::decoder::observation_tables;
 use crate::rx::RxSymbols;
-#[cfg(test)]
-use crate::tables::SymbolTables;
 
 /// Selects how the bubble decoder computes and compares path metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -84,11 +80,15 @@ pub const Q_INF: u16 = u16::MAX;
 /// [`Q_INF`] sentinel is present (see [`pair_delta`]).
 pub const Q_MAX_FINITE: u16 = i16::MAX as u16;
 
-/// Quantized branch-metric tables for one decode attempt: the flat
-/// `u16` slab, per-spine spans, and the affine map needed to report the
-/// winning cost back in exact-metric units.
+/// Branch-metric tables for one decode attempt: the flat exact `f64`
+/// slab both metric profiles read, the quantized `u16` slab, per-spine
+/// spans, and the affine map needed to report the quantized winning
+/// cost back in exact-metric units.
 #[derive(Debug, Clone, Default)]
 pub struct QuantTables {
+    /// The exact `[I | Q]` `f64` tables, laid out like `tables`: what an
+    /// exact attempt decodes from and what the quantize pass reads.
+    pub(crate) exact: Vec<f64>,
     /// Concatenated `[I | Q]` `u16` tables, `2m` entries per
     /// observation, observations in per-spine span order.
     pub(crate) tables: Vec<u16>,
@@ -108,9 +108,6 @@ pub struct QuantTables {
     /// overflow, the decode kernels skip the pin-and-saturate logic
     /// entirely (identical sums, fewer ops).
     pub(crate) has_inf: bool,
-    /// The exact `f64` entries the `u16` slab is quantized from, laid
-    /// out like it (pass-1 scratch kept for reuse across attempts).
-    exact: Vec<f64>,
     /// Per-table minima scratch kept for reuse across attempts.
     mins: Vec<f64>,
 }
@@ -128,24 +125,18 @@ impl QuantTables {
         (self.scale, self.offset)
     }
 
-    /// Build this quantized table set straight from the receive buffer
-    /// (clears previous contents; buffers are reused and only grow).
+    /// Pass 1, an exact attempt's whole table build: walk the receive
+    /// buffer once, spine by spine in receive order, recording each
+    /// spine's span and each observation's RNG index, and writing its
+    /// `[I | Q]` branch metrics into the flat `f64` slab (clears previous
+    /// contents; buffers are reused and only grow). The `u16` slab and
+    /// the affine map are left as they were.
     ///
-    /// Pass 1 walks the buffer once, spine by spine in receive order,
-    /// writing each observation's `[I | Q]` branch metrics into the flat
-    /// `f64` slab, and records each table's finite minimum, the widest
-    /// finite range across all tables and the sum of minima. Pass 2
-    /// writes `q = round((v − t_min)/scale)` clamped to [`Q_MAX_FINITE`]
-    /// into the `u16` slab, with `+∞` entries becoming [`Q_INF`]. With a
-    /// positive shared scale the map is monotone within every table.
-    ///
-    /// The entries, minima, scale, offset and sentinels are bit-identical
-    /// to quantizing [`SymbolTables`](crate::tables::SymbolTables) built
-    /// from the same buffer: the same expressions, with the offset summed
-    /// in the same table order.
-    pub(crate) fn build(&mut self, levels: &[f64], rx: &RxSymbols) {
-        let m = levels.len();
-        let tab = 2 * m; // entries per observation (I table + Q table)
+    /// Each spine's run of the slab equals that spine's observations'
+    /// tables in receive order, bit for bit: the expression of
+    /// [`observation_tables`], one observation at a time.
+    pub(crate) fn build_exact(&mut self, levels: &[f64], rx: &RxSymbols) {
+        let tab = 2 * levels.len(); // entries per observation (I table + Q table)
         let ns = rx.n_spines();
         self.spans.clear();
         let mut n_obs = 0u32;
@@ -156,33 +147,46 @@ impl QuantTables {
         }
         let n_obs = n_obs as usize;
         self.exact.resize(n_obs * tab, 0.0);
-        self.tables.resize(n_obs * tab, 0);
         self.rngs.resize(n_obs, 0);
-        self.mins.resize(2 * n_obs, 0.0);
-
-        // Pass 1: exact entries, per-table finite minima and the global
-        // finite range.
-        let mut max_range = 0.0f64;
-        let mut offset = 0.0f64;
         let entries = (0..ns).flat_map(|s| rx.spine_entries(s));
-        let slots = self
-            .exact
-            .chunks_exact_mut(tab)
-            .zip(self.mins.chunks_exact_mut(2))
-            .zip(&mut self.rngs);
-        for (e, ((exact, mins), rng)) in entries.zip(slots) {
+        let slots = self.exact.chunks_exact_mut(tab).zip(&mut self.rngs);
+        for (e, (exact, rng)) in entries.zip(slots) {
             *rng = e.rng_index;
             observation_tables(levels, e, exact);
-            for (table, t_min) in exact.chunks_exact(m).zip(mins) {
-                let (lo, hi) = finite_bounds(table);
-                // An all-∞ table contributes nothing to the offset; its
-                // entries all become the sentinel below.
-                *t_min = if lo.is_finite() { lo } else { 0.0 };
-                if hi.is_finite() {
-                    max_range = max_range.max(hi - *t_min);
-                }
-                offset += *t_min;
+        }
+    }
+
+    /// Build the whole table set straight from the receive buffer:
+    /// [pass 1](Self::build_exact), then the quantize pass.
+    ///
+    /// The quantize pass records each table's finite minimum, the widest
+    /// finite range across all tables and the sum of minima, then writes
+    /// `q = round((v − t_min)/scale)` clamped to [`Q_MAX_FINITE`] into
+    /// the `u16` slab, with `+∞` entries becoming [`Q_INF`]. With a
+    /// positive shared scale the map is monotone within every table.
+    ///
+    /// The entries, minima, scale, offset and sentinels are bit-identical
+    /// to quantizing per-spine exact tables built from the same buffer:
+    /// the same expressions, with the offset summed in the same table
+    /// order (the test module's reference pins this).
+    pub(crate) fn build(&mut self, levels: &[f64], rx: &RxSymbols) {
+        self.build_exact(levels, rx);
+        let m = levels.len();
+        self.tables.resize(self.exact.len(), 0);
+        self.mins.resize(self.exact.len() / m, 0.0);
+
+        // Per-table finite minima and the global finite range.
+        let mut max_range = 0.0f64;
+        let mut offset = 0.0f64;
+        for (table, t_min) in self.exact.chunks_exact(m).zip(&mut self.mins) {
+            let (lo, hi) = finite_bounds(table);
+            // An all-∞ table contributes nothing to the offset; its
+            // entries all become the sentinel below.
+            *t_min = if lo.is_finite() { lo } else { 0.0 };
+            if hi.is_finite() {
+                max_range = max_range.max(hi - *t_min);
             }
+            offset += *t_min;
         }
         let scale = if max_range > 0.0 {
             max_range / f64::from(Q_MAX_FINITE)
@@ -193,7 +197,7 @@ impl QuantTables {
         self.scale = scale;
         self.offset = offset;
 
-        // Pass 2: quantize the slab, table by table.
+        // Quantize the slab, table by table.
         let mut has_inf = false;
         let tables = self
             .tables
@@ -217,81 +221,6 @@ impl QuantTables {
             }
         }
         self.has_inf = has_inf;
-    }
-
-    /// The reference [`QuantTables::build`] is held to: quantize exact
-    /// per-spine tables already built by [`SymbolTables::sync`], with
-    /// one pass for the minima and range and one for the `u16` entries.
-    /// Test-only; decodes build from the receive buffer directly.
-    #[cfg(test)]
-    pub(crate) fn rebuild(&mut self, st: &SymbolTables, m: usize) {
-        self.tables.clear();
-        self.rngs.clear();
-        self.spans.clear();
-        self.mins.clear();
-
-        // Pass 1: per-table finite minima and the global finite range.
-        let tab = 2 * m; // entries per observation (I table + Q table)
-        let mut max_range = 0.0f64;
-        let mut offset = 0.0f64;
-        for spine in &st.tables {
-            debug_assert_eq!(spine.len() % m, 0);
-            for table in spine.chunks_exact(m) {
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for &v in table {
-                    if v.is_finite() {
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                }
-                // An all-∞ table contributes nothing to the offset; its
-                // entries all become the sentinel below.
-                let t_min = if lo.is_finite() { lo } else { 0.0 };
-                if hi.is_finite() {
-                    max_range = max_range.max(hi - t_min);
-                }
-                offset += t_min;
-                self.mins.push(t_min);
-            }
-        }
-        let scale = if max_range > 0.0 {
-            max_range / f64::from(Q_MAX_FINITE)
-        } else {
-            1.0
-        };
-        let inv = 1.0 / scale;
-        self.scale = scale;
-        self.offset = offset;
-
-        // Pass 2: quantize, recording spans per spine.
-        self.has_inf = false;
-        let mut obs = 0u32;
-        let mut mins = self.mins.iter();
-        for (spine_tables, spine_rngs) in st.tables.iter().zip(&st.rngs) {
-            let lo = obs;
-            for table in spine_tables.chunks_exact(m) {
-                let t_min = *mins.next().expect("one min per table");
-                for &v in table {
-                    self.tables.push(if v.is_finite() {
-                        // ≤ Q_MAX_FINITE by construction of the scale;
-                        // the min() guards float round-off at the top of
-                        // the range from colliding with the sentinel.
-                        // `+0.5, truncate` is round-half-away-from-zero
-                        // for non-negative inputs (v ≥ t_min) without
-                        // the libm round call.
-                        ((v - t_min) * inv + 0.5).min(f64::from(Q_MAX_FINITE)) as u16
-                    } else {
-                        self.has_inf = true;
-                        Q_INF
-                    });
-                }
-            }
-            self.rngs.extend_from_slice(spine_rngs);
-            obs += spine_rngs.len() as u32;
-            self.spans.push((lo, obs));
-            debug_assert_eq!(spine_tables.len(), (obs - lo) as usize * tab);
-        }
     }
 }
 
@@ -541,18 +470,102 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use spinal_channel::{AwgnChannel, Channel, Complex, RayleighChannel};
 
-    fn st_from_tables(tables: Vec<Vec<f64>>, m: usize) -> SymbolTables {
-        let rngs = tables
-            .iter()
-            .map(|t| (0..t.len() / (2 * m)).map(|i| i as u32).collect())
-            .collect();
-        SymbolTables { tables, rngs }
+    /// The reference layout [`QuantTables::build`] is held to: exact
+    /// tables grouped per spine, each spine's observations' `[I | Q]`
+    /// tables (`2m` entries each) and RNG indices in receive order.
+    struct PerSpineTables {
+        tables: Vec<Vec<f64>>,
+        rngs: Vec<Vec<u32>>,
+    }
+
+    impl PerSpineTables {
+        /// Tables made by hand, with RNG indices 0, 1, … per spine.
+        fn from_tables(tables: Vec<Vec<f64>>, m: usize) -> Self {
+            let rngs = tables
+                .iter()
+                .map(|t| (0..t.len() / (2 * m)).map(|i| i as u32).collect())
+                .collect();
+            PerSpineTables { tables, rngs }
+        }
+
+        /// Tables built from a receive buffer one spine at a time.
+        fn of(levels: &[f64], rx: &RxSymbols) -> Self {
+            let tab = 2 * levels.len();
+            let (tables, rngs) = (0..rx.n_spines())
+                .map(|s| {
+                    let entries = rx.spine_entries(s);
+                    let mut tables = vec![0.0; entries.len() * tab];
+                    for (e, out) in entries.iter().zip(tables.chunks_exact_mut(tab)) {
+                        observation_tables(levels, e, out);
+                    }
+                    (tables, entries.iter().map(|e| e.rng_index).collect())
+                })
+                .unzip();
+            PerSpineTables { tables, rngs }
+        }
+
+        /// Quantize spine by spine, with one pass for the minima and
+        /// range and one for the `u16` entries.
+        fn quantize(&self, m: usize) -> QuantTables {
+            let mut q = QuantTables::new();
+            // Pass 1: per-table finite minima and the global finite range.
+            let mut max_range = 0.0f64;
+            let mut offset = 0.0f64;
+            for spine in &self.tables {
+                assert_eq!(spine.len() % m, 0);
+                for table in spine.chunks_exact(m) {
+                    let mut lo = f64::INFINITY;
+                    let mut hi = f64::NEG_INFINITY;
+                    for &v in table {
+                        if v.is_finite() {
+                            lo = lo.min(v);
+                            hi = hi.max(v);
+                        }
+                    }
+                    let t_min = if lo.is_finite() { lo } else { 0.0 };
+                    if hi.is_finite() {
+                        max_range = max_range.max(hi - t_min);
+                    }
+                    offset += t_min;
+                    q.mins.push(t_min);
+                }
+            }
+            q.scale = if max_range > 0.0 {
+                max_range / f64::from(Q_MAX_FINITE)
+            } else {
+                1.0
+            };
+            q.offset = offset;
+            let inv = 1.0 / q.scale;
+
+            // Pass 2: quantize, recording spans per spine.
+            let mut obs = 0u32;
+            let mut mins = q.mins.clone().into_iter();
+            for (spine_tables, spine_rngs) in self.tables.iter().zip(&self.rngs) {
+                let lo = obs;
+                for table in spine_tables.chunks_exact(m) {
+                    let t_min = mins.next().expect("one min per table");
+                    for &v in table {
+                        q.tables.push(if v.is_finite() {
+                            ((v - t_min) * inv + 0.5).min(f64::from(Q_MAX_FINITE)) as u16
+                        } else {
+                            q.has_inf = true;
+                            Q_INF
+                        });
+                    }
+                }
+                q.rngs.extend_from_slice(spine_rngs);
+                obs += spine_rngs.len() as u32;
+                q.spans.push((lo, obs));
+            }
+            q
+        }
     }
 
     #[test]
     fn quantization_is_monotone_within_each_table() {
         let m = 4;
-        let st = st_from_tables(
+        let st = PerSpineTables::from_tables(
             vec![vec![
                 0.5, 0.1, 0.9, 0.1, // I table
                 -3.0, 7.0, 7.0, 0.0, // Q table
@@ -561,8 +574,7 @@ mod tests {
             ]],
             m,
         );
-        let mut q = QuantTables::new();
-        q.rebuild(&st, m);
+        let q = st.quantize(m);
         for (qt, et) in q.tables.chunks_exact(m).zip(st.tables[0].chunks_exact(m)) {
             for i in 0..m {
                 for j in 0..m {
@@ -587,9 +599,7 @@ mod tests {
     #[test]
     fn widest_table_spans_the_full_finite_range() {
         let m = 2;
-        let st = st_from_tables(vec![vec![0.0, 10.0, 3.0, 3.0]], m);
-        let mut q = QuantTables::new();
-        q.rebuild(&st, m);
+        let q = PerSpineTables::from_tables(vec![vec![0.0, 10.0, 3.0, 3.0]], m).quantize(m);
         assert_eq!(q.tables[0], 0);
         assert_eq!(q.tables[1], Q_MAX_FINITE);
         // Constant table quantizes to all zeros.
@@ -602,12 +612,11 @@ mod tests {
     #[test]
     fn infinite_entries_become_the_sentinel_and_saturate() {
         let m = 2;
-        let st = st_from_tables(
+        let st = PerSpineTables::from_tables(
             vec![vec![1.0, f64::INFINITY, f64::INFINITY, f64::INFINITY]],
             m,
         );
-        let mut q = QuantTables::new();
-        q.rebuild(&st, m);
+        let q = st.quantize(m);
         assert_eq!(q.tables, vec![0, Q_INF, Q_INF, Q_INF]);
         // A pair with a sentinel pins to the integer infinity; the
         // widest finite pair stays below the pinning threshold.
@@ -647,17 +656,22 @@ mod tests {
         assert!(q.has_inf);
     }
 
-    /// The fused build's identity oracle: [`QuantTables::build`] must
-    /// equal the reference — [`SymbolTables::sync`] from scratch, then
-    /// [`QuantTables::rebuild`] — field by field: entries, RNG indices,
-    /// spans, the scale and offset bits, and the sentinel flag. `q` is
-    /// reused across calls, so stale buffer contents would show.
+    /// The one-pass build's identity oracle, at both of its stages.
+    /// Pass 1 alone ([`QuantTables::build_exact`], all an exact attempt
+    /// runs) must equal the per-spine reference bit for bit: spans, RNG
+    /// indices and `f64` entries. The full [`QuantTables::build`] must
+    /// equal the reference's quantization field by field: entries, RNG
+    /// indices, spans, the scale and offset bits, and the sentinel flag.
+    /// `q` is reused across calls, so stale buffer contents would show.
     fn assert_build_is_reference(q: &mut QuantTables, levels: &[f64], rx: &RxSymbols, ctx: &str) {
-        let mut st = SymbolTables::default();
-        st.reset(rx.n_spines());
-        st.sync(levels, rx);
-        let mut want = QuantTables::new();
-        want.rebuild(&st, levels.len());
+        let st = PerSpineTables::of(levels, rx);
+        let want = st.quantize(levels.len());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want_exact = bits(&st.tables.concat());
+        q.build_exact(levels, rx);
+        assert_eq!(bits(&q.exact), want_exact, "{ctx}: exact entries");
+        assert_eq!(q.rngs, want.rngs, "{ctx}: exact pass rngs");
+        assert_eq!(q.spans, want.spans, "{ctx}: exact pass spans");
         q.build(levels, rx);
         assert_eq!(q.tables, want.tables, "{ctx}: tables");
         assert_eq!(q.rngs, want.rngs, "{ctx}: rngs");

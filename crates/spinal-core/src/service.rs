@@ -10,13 +10,12 @@
 //! its own handle:
 //!
 //! * **[`Session`]** — owns the per-block decode state: the receive
-//!   buffer ([`SessionBuffer`]), a [`TableCache`] so each exact-profile
-//!   retry folds in only the symbols received since the last attempt,
-//!   and a schedule position. Its attempts run on the service's
-//!   per-core [`DecodeWorkspace`] (the pooled worker's own, or the
-//!   inline workspace of a 1-thread service), so a session carries no
-//!   decode scratch of its own. Completion is per-session (`submit` →
-//!   `wait`), so independent callers cannot cross-talk.
+//!   buffer ([`SessionBuffer`]) and a schedule position. Each attempt
+//!   builds its tables from the whole buffer on the service's per-core
+//!   [`DecodeWorkspace`] (the pooled worker's own, or the inline
+//!   workspace of a 1-thread service), so a session carries no decode
+//!   scratch of its own. Completion is per-session (`submit` → `wait`),
+//!   so independent callers cannot cross-talk.
 //! * **[`DecodeService`]** — admission control (at most
 //!   [`ServiceConfig::max_sessions`] live sessions, structured
 //!   [`AdmitError`] on shed) and a bounded dispatch queue
@@ -30,18 +29,17 @@
 //!   JSON for the `traffic_gen` harness and CI smoke checks.
 //!
 //! A service of more than one thread runs session jobs on its pool
-//! workers, and a worker panic ends only that attempt, as a
-//! [`DecodeFailure`]; a 1-thread service runs them inline at `submit`,
-//! which keeps `wait` non-blocking there and the whole layer
-//! deadlock-free at every thread count. Results are bit-identical to a
-//! serial decode of the same observations — the job body is the same
-//! incremental-table path a serial [`DecodeRequest`] resolves to.
+//! workers; a 1-thread service runs them inline at `submit`, which
+//! keeps `wait` non-blocking there and the whole layer deadlock-free at
+//! every thread count. At every width a decoder panic ends only its
+//! attempt, as a [`DecodeFailure`]. Results are bit-identical to a
+//! serial decode of the same observations — the job body is the serial
+//! [`DecodeRequest`] decode itself.
 
 use crate::api::{DecodeRequest, RxObservations};
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
-use crate::engine::{DecodeFailure, WorkerPool};
+use crate::engine::{run_caught, DecodeFailure, WorkerPool};
 use crate::rx::{RxBits, RxSymbols};
-use crate::tables::TableCache;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -180,12 +178,12 @@ impl SessionBuffer {
 }
 
 /// The per-session decode resources that travel into a job and back:
-/// the receive buffer and the incremental table cache. The job decodes
-/// on the workspace of whichever service thread runs it.
+/// the receive buffer and how much of it the metrics have counted. The
+/// job builds its tables and decodes on the workspace of whichever
+/// service thread runs it.
 #[derive(Debug)]
 struct SessionRes {
     buffer: SessionBuffer,
-    cache: TableCache,
     /// Observations already counted into `symbols_folded` metrics.
     folded: usize,
 }
@@ -560,11 +558,7 @@ impl DecodeService {
                 state: Mutex::new(SlotState::Idle),
                 ready: Condvar::new(),
             }),
-            res: Some(SessionRes {
-                buffer,
-                cache: TableCache::new(),
-                folded: 0,
-            }),
+            res: Some(SessionRes { buffer, folded: 0 }),
             position: 0,
             attempts: 0,
             poison: None,
@@ -574,7 +568,7 @@ impl DecodeService {
     /// Decode a batch of independent blocks, one session per buffer,
     /// and return each block's outcome in input order: the serial
     /// [`DecodeRequest`] decode of that buffer under `dec`, bit for bit,
-    /// or the [`DecodeFailure`] of a worker that panicked on that block
+    /// or the [`DecodeFailure`] of a decode that panicked on that block
     /// (its siblings decode unaffected). The buffers move into their
     /// sessions and every session shares `dec`, so the batch clones
     /// neither.
@@ -720,17 +714,16 @@ impl ServiceInner {
                 );
             } else {
                 // Inline: run here and keep looping; no recursion, so
-                // queue depth never grows the stack. A poisoned attempt
-                // must not panic the *submitting* thread — resolve it as
-                // the structured failure directly.
-                let mut job = job;
-                let poison = job.poison.take();
+                // queue depth never grows the stack. A panic is caught
+                // as on a pool worker, so it never reaches the caller of
+                // `submit`, and the workspace it interrupted is replaced
+                // with a fresh one, as a respawned worker's would be.
                 let d = DispatchedJob::new(job);
-                match poison {
-                    Some(payload_msg) => {
-                        self.fail_job(&d, DecodeFailure::WorkerPanicked { payload_msg })
-                    }
-                    None => self.run_job(&d, &mut self.inline_ws.lock()),
+                let mut ws = self.inline_ws.lock();
+                if let Err(failure) = run_caught(|ws| self.run_job(&d, ws), &mut ws) {
+                    *ws = DecodeWorkspace::new();
+                    drop(ws);
+                    self.fail_job(&d, failure);
                 }
             }
         }
@@ -748,14 +741,12 @@ impl ServiceInner {
             let job = guard.as_mut().expect("job present until resolved");
             if let Some(msg) = job.poison.take() {
                 // Test-only failure injection: blow up exactly like a
-                // decoder bug would, on the worker, mid-job.
+                // decoder bug would, mid-job, wherever the job runs.
                 panic!("{}", msg);
             }
-            let res = &mut job.res;
-            let result = match &mut res.buffer {
-                SessionBuffer::Symbols(rx) => job.dec.decode_cached_impl(rx, &mut res.cache, ws),
-                SessionBuffer::Bits(rx) => job.dec.decode_bits_impl(rx, ws),
-            };
+            let result = DecodeRequest::new(&job.dec, job.res.buffer.observations())
+                .workspace(ws)
+                .decode();
             (result, guard.take().expect("job present until resolved"))
         };
         if d.resolved.swap(true, Ordering::SeqCst) {
@@ -794,24 +785,23 @@ impl ServiceInner {
         self.state.lock().inflight -= 1;
     }
 
-    /// Resolve one attempt as a structured failure (a worker panic, or
-    /// an injected poison on an inline service). The failed job has
-    /// already unwound, so its resources sit in `held`. The incremental
-    /// cache is reset (a panic can interrupt a cache sync half-way); the
-    /// receive buffer survives intact. The workspace the job decoded on
-    /// was the worker's, and it died with the panicked thread; the
-    /// respawned worker starts a fresh one.
+    /// Resolve one attempt as a structured failure: a decoder panic
+    /// caught on a pool worker or inline at `submit`. The failed job has
+    /// already unwound, so its resources sit in `held`, with the receive
+    /// buffer intact. The workspace the job decoded on is never reused:
+    /// a pool worker's dies with its thread and the respawned slot starts
+    /// a fresh one, and an inline service swaps in a fresh inline
+    /// workspace.
     fn fail_job(&self, d: &DispatchedJob, failure: DecodeFailure) {
         if d.resolved.swap(true, Ordering::SeqCst) {
             return;
         }
-        let mut res = d
+        let res = d
             .held
             .lock()
             .take()
             .expect("an unresolved job keeps its resources in `held`")
             .res;
-        res.cache = TableCache::new();
         {
             let mut sl = d.slot.state.lock();
             let mut m = self.metrics.lock();
@@ -838,11 +828,9 @@ impl ServiceInner {
 
 /// One live decode session — the per-block completion handle. Push
 /// observations, `submit` an attempt, `wait` for (or poll) the result,
-/// push more, resubmit: the §7.1 retry loop. Under the exact profile
-/// each attempt folds only the new observations through the session's
-/// [`TableCache`]; a quantized attempt builds its tables from the
-/// buffer in one pass. Either way the attempt runs on the service's
-/// per-core workspace.
+/// push more, resubmit: the §7.1 retry loop. Each attempt builds its
+/// tables from the whole buffer in one pass, on the service's per-core
+/// workspace.
 ///
 /// Dropping a session releases its admission slot; an attempt still in
 /// flight completes as *stale* (discarded, counted — never corrupting
@@ -1011,10 +999,9 @@ impl Session {
     }
 
     /// Test-only failure injection: the next submitted attempt panics
-    /// on its worker (or resolves directly as the structured failure on
-    /// an inline service) instead of decoding — exercising the full
-    /// panic-recovery path: catch, respawn, `DecodeFailure` surfacing.
-    /// Never use outside tests.
+    /// where it runs, on a pool worker or inline at `submit`, instead of
+    /// decoding — exercising the full panic-recovery path: catch, fresh
+    /// workspace, `DecodeFailure` surfacing. Never use outside tests.
     #[doc(hidden)]
     pub fn poison_next_attempt(&mut self, payload_msg: &str) {
         self.poison = Some(payload_msg.to_string());
@@ -1338,8 +1325,9 @@ mod tests {
         // the pool catches it, respawns the slot, and the service
         // surfaces the structured failure — then the session decodes
         // again on the replacement worker. Repeated rounds must never
-        // exhaust the pool. The inline service resolves the poison at
-        // `submit` with no worker to lose.
+        // exhaust the pool. The inline service catches the poison at
+        // `submit` the same way, with no worker to lose, and decodes
+        // again on a fresh inline workspace.
         const ROUNDS: u64 = 5;
         for threads in [1, 2, 3] {
             let svc = DecodeService::new(threads, ServiceConfig::default());
@@ -1538,7 +1526,8 @@ mod tests {
     fn batch_worker_panic_fails_only_its_block() {
         // An unpunctured B = 32 decoder runs its block check on every
         // block's B/16 candidate, so a check that panics on one payload
-        // poisons exactly that block, on whichever worker decodes it.
+        // poisons exactly that block, on whichever worker decodes it —
+        // or inline at `submit` on a 1-thread service.
         const POISONED: usize = 2;
         let p = CodeParams::default()
             .with_n(32)
@@ -1565,7 +1554,7 @@ mod tests {
             .filter(|&(i, _)| i != POISONED)
             .map(|(_, b)| b.clone())
             .collect();
-        for threads in [2, 3] {
+        for threads in [1, 2, 3] {
             let ctx = format!("threads {threads}");
             let svc = DecodeService::new(threads, ServiceConfig::default());
             let mut batch = svc.decode_batch(&dec, buffers.clone());
@@ -1577,7 +1566,7 @@ mod tests {
             }
             assert_batch_matches_serial(&batch, &dec, &siblings, &ctx);
             // The service still decodes afterwards, on the respawned
-            // worker.
+            // worker or the fresh inline workspace.
             let again = svc.decode_batch(&dec, siblings.clone());
             assert_batch_matches_serial(&again, &dec, &siblings, &format!("{ctx} after"));
             let m = svc.metrics();

@@ -19,7 +19,7 @@ use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel, RayleighChann
 use spinal_core::{
     BubbleDecoder, CodeParams, DecodeRequest, DecodeResult, DecodeService, Encoder, Message,
     MetricProfile, Puncturing, RxBits, RxSymbols, Schedule, ServiceConfig, Session, SessionBuffer,
-    SessionOptions, TableCache,
+    SessionOptions,
 };
 use std::sync::Arc;
 
@@ -426,19 +426,13 @@ fn quantized_output_matches_recorded_corpus() {
     }
 }
 
-/// `case`'s decode through every path a caller can take: a request with
-/// and without a [`TableCache`], a service session, and a service
-/// batch.
+/// `case`'s decode through every path a caller can take: a request, a
+/// service session, and a service batch.
 fn every_path(
     svc: &DecodeService,
     dec: &Arc<BubbleDecoder>,
     rx: &SessionBuffer,
 ) -> Vec<(&'static str, DecodeResult)> {
-    let mut cache = TableCache::new();
-    let cached = match rx {
-        SessionBuffer::Symbols(rx) => DecodeRequest::new(dec, rx).cache(&mut cache).decode(),
-        SessionBuffer::Bits(rx) => DecodeRequest::new(dec, rx).cache(&mut cache).decode(),
-    };
     let mut session = svc
         .open_session(dec, rx.clone(), SessionOptions::default())
         .expect("admitted");
@@ -451,7 +445,6 @@ fn every_path(
     let batch = batch.pop().expect("one block").expect("clean batch decode");
     vec![
         ("request", serial_decode(dec, rx)),
-        ("cached request", cached),
         ("session", session),
         ("batch", batch),
     ]

@@ -13,12 +13,11 @@
 //!
 //! Decode attempts run at subpass boundaries (§5), each block through
 //! its own [`Session`] on a [`DecodeService`]: the session owns the
-//! receive buffer, the incremental table cache and the block's schedule
-//! position, so every retry folds in only the new observations, and
-//! each attempt runs on the per-core workspace of the service thread
-//! that decodes it. All blocks of a transfer share one decoder with the
-//! [`MetricProfile::Quantized`] metric (its BLER is held to the exact
-//! profile's by the `quant_parity` oracle).
+//! receive buffer and the block's schedule position, and each attempt
+//! builds its tables from the whole buffer on the per-core workspace of
+//! the service thread that decodes it. All blocks of a transfer share
+//! one decoder with the [`MetricProfile::Quantized`] metric (its BLER
+//! is held to the exact profile's by the `quant_parity` oracle).
 //!
 //! That decoder carries the block CRC as its block check
 //! ([`BubbleDecoder::with_block_check`]). On an unpunctured schedule
@@ -156,8 +155,8 @@ fn block_crc(msg: &Message) -> bool {
 /// Per-block receive state.
 struct BlockState {
     /// The block's decode session, opened from the first span's payload
-    /// kind (it owns the observation buffer, table cache and subpass
-    /// position; its attempts run on the service's workspaces).
+    /// kind (it owns the observation buffer and subpass position; its
+    /// attempts run on the service's workspaces).
     session: Option<Session>,
     /// Out-of-order spans waiting for the cursor, keyed by offset.
     pending: BTreeMap<u32, Payload>,

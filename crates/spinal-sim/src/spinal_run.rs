@@ -8,7 +8,7 @@ use spinal_channel::capacity::{awgn_capacity_db, bsc_capacity, rayleigh_ergodic_
 use spinal_channel::{AwgnChannel, BitChannel, BscChannel, Channel, RayleighChannel};
 use spinal_core::{
     BubbleDecoder, CodeParams, DecodeRequest, DecodeWorkspace, Encoder, Message, MetricProfile,
-    RxBits, RxSymbols, Schedule, TableCache,
+    RxBits, RxSymbols, Schedule,
 };
 
 /// Which link model a spinal trial runs over.
@@ -143,11 +143,9 @@ impl SpinalRun {
         let mut enc = Encoder::new(p, &msg);
         let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
         let mut rx = RxSymbols::new(schedule.clone());
+        // Each attempt builds its branch-metric tables from the whole
+        // buffer in one pass, into the caller's workspace.
         let decoder = BubbleDecoder::new(p).with_profile(self.profile);
-        // Branch-metric tables are additive over observations: one cache
-        // per trial means each attempt builds tables only for the
-        // symbols that arrived since the last attempt.
-        let mut cache = TableCache::new();
 
         let max_symbols = self.max_passes * schedule.symbols_per_pass();
         let boundaries = schedule.subpass_boundaries(max_symbols);
@@ -220,13 +218,8 @@ impl SpinalRun {
             if sent < next_attempt {
                 continue;
             }
-            if DecodeRequest::new(&decoder, &rx)
-                .workspace(ws)
-                .cache(&mut cache)
-                .decode()
-                .message
-                == msg
-            {
+            let decoded = DecodeRequest::new(&decoder, &rx).workspace(ws).decode();
+            if decoded.message == msg {
                 return Trial::success(p.n, sent);
             }
             next_attempt = ((sent as f64) * self.attempt_growth) as usize;

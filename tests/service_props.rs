@@ -116,9 +116,8 @@ fn build_session(p: &CodeParams, sc: &Scenario, i: usize) -> (SessionBuffer, Ses
     (buf, mirror, feed)
 }
 
-/// Serial reference decode of a mirror buffer (fresh workspace, no
-/// cache — the session's cached incremental path must match it bit for
-/// bit anyway).
+/// Serial reference decode of a mirror buffer on a fresh workspace;
+/// every session attempt must match it bit for bit.
 fn serial_decode(dec: &BubbleDecoder, buf: &SessionBuffer) -> DecodeResult {
     match buf {
         SessionBuffer::Symbols(rx) => DecodeRequest::new(dec, rx).decode(),
