@@ -1,6 +1,6 @@
 //! Coarse performance-regression guard over `BENCH_*.json` baselines.
 //!
-//! Six modes, selected by `--mode`:
+//! Five modes, selected by `--mode`:
 //!
 //! * **`median`** (default): compares the median of one benchmark
 //!   between a committed baseline and a freshly recorded run (both in
@@ -19,13 +19,6 @@
 //!   `--scaled-threads` the check is skipped (reported, exit 0): a
 //!   1-core container cannot exhibit scaling, and failing there would
 //!   only teach people to delete the guard.
-//! * **`profile-speedup`**: checks the quantized metric profile's edge
-//!   within one freshly recorded file: the median of
-//!   `--group-quant/--bench` must beat the median of
-//!   `--group-exact/--bench` (same bench name in both groups) by at
-//!   least `--min-speedup`. Catches "the integer fast path silently
-//!   fell back to something slow" regressions; the floor is set below
-//!   the recorded steady-state ratio because CI hosts are noisy.
 //! * **`goodput`**: checks a transport goodput row recorded by the
 //!   `net_loopback` bin (`goodput_bits_per_symbol` in the same
 //!   JSON-lines format): `--group/--bench` must reach at least
@@ -224,33 +217,6 @@ fn run_throughput_mode(args: &Args) {
     println!("bench_guard: OK");
 }
 
-fn run_profile_speedup_mode(args: &Args) {
-    let current = args.str("current", "/tmp/bench_current.json");
-    let group_exact = args.str("group-exact", "bubble_decode");
-    let group_quant = args.str("group-quant", "bubble_decode_quant");
-    let name = args.str("bench", "n256_B256_2passes");
-    let min_speedup = args.f64("min-speedup", 1.4);
-    if min_speedup.is_nan() || min_speedup <= 0.0 {
-        die(format!("--min-speedup must be positive, got {min_speedup}"));
-    }
-
-    let exact = load_median("current", &current, &group_exact, &name).unwrap_or_else(|e| die(e));
-    let quant = load_median("current", &current, &group_quant, &name).unwrap_or_else(|e| die(e));
-    let speedup = exact / quant;
-    println!(
-        "bench_guard: {name}: exact ({group_exact}) {exact:.0} ns, quantized ({group_quant}) \
-         {quant:.0} ns (speedup {speedup:.2}×, floor {min_speedup:.2}×)"
-    );
-    if speedup < min_speedup {
-        eprintln!(
-            "bench_guard: FAIL — quantized profile only {speedup:.2}× faster than exact \
-             (floor {min_speedup:.2}×)"
-        );
-        std::process::exit(1);
-    }
-    println!("bench_guard: OK");
-}
-
 fn run_goodput_mode(args: &Args) {
     let current = args.str("current", "/tmp/bench_current.json");
     let group = args.str("group", "net_loopback");
@@ -373,13 +339,12 @@ fn main() {
     match args.str("mode", "median").as_str() {
         "median" => run_median_mode(&args),
         "throughput" => run_throughput_mode(&args),
-        "profile-speedup" => run_profile_speedup_mode(&args),
         "goodput" => run_goodput_mode(&args),
         "chaos" => run_chaos_mode(&args),
         "sessions" => run_sessions_mode(&args),
         other => die(format!(
             "invalid value for --mode: '{other}' (expected 'median', 'throughput', \
-             'profile-speedup', 'goodput', 'chaos', or 'sessions')"
+             'goodput', 'chaos', or 'sessions')"
         )),
     }
 }
@@ -520,32 +485,6 @@ mod tests {
                 && err.contains("BENCH_THREADS"),
             "unhelpful: {err}"
         );
-    }
-
-    #[test]
-    fn profile_speedup_pairs_rows_across_groups() {
-        // The speedup mode keys the SAME bench name in two groups; a
-        // missing quant row must name the group/bench pair and the file.
-        let sample = concat!(
-            "{\"group\":\"bubble_decode\",\"bench\":\"n256_B256_2passes\",\"median_ns\":4600000.0}\n",
-            "{\"group\":\"bubble_decode_quant\",\"bench\":\"n256_B256_2passes\",\"median_ns\":2700000.0}\n",
-        );
-        assert_eq!(
-            find_median_in(sample, "bubble_decode", "n256_B256_2passes"),
-            Some(4600000.0)
-        );
-        assert_eq!(
-            find_median_in(sample, "bubble_decode_quant", "n256_B256_2passes"),
-            Some(2700000.0)
-        );
-        let err = load_median(
-            "current",
-            "/nonexistent/q.json",
-            "bubble_decode_quant",
-            "n256_B256_2passes",
-        )
-        .unwrap_err();
-        assert!(err.contains("--current") && err.contains("/nonexistent/q.json"));
     }
 
     #[test]

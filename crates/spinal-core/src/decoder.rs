@@ -1993,4 +1993,60 @@ mod profiling {
         println!("B = 256 beam      {full_us:9.2} us/block");
         println!("block CRC         {crc_us:9.2} us/block");
     }
+
+    /// The quantized profile's edge over the exact one, on the `micro`
+    /// bench's `n256_B256_2passes` input (n = 256, B = 256, two passes
+    /// at 15 dB, each decode allocating its own workspace). The two
+    /// decodes alternate inside one loop, so a burst of host load slows
+    /// both halves of a pair alike, and the median of the per-pair
+    /// ratios must reach 1.2×. A release-mode gate; run with
+    /// `cargo test --release -p spinal-core --lib quantized_speedup_over_exact -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "release-mode timing gate"]
+    fn quantized_speedup_over_exact() {
+        const PAIRS: usize = 200;
+        const FLOOR: f64 = 1.2;
+        let p = CodeParams::default().with_n(256).with_b(256);
+        let mut rng = StdRng::seed_from_u64(2);
+        let msg = Message::random(p.n, || rng.gen());
+        let mut enc = Encoder::new(&p, &msg);
+        let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
+        let mut rx = RxSymbols::new(schedule.clone());
+        let mut ch = AwgnChannel::new(15.0, 3);
+        rx.push(&ch.transmit(&enc.next_symbols(2 * schedule.symbols_per_pass())));
+        let exact = BubbleDecoder::new(&p);
+        let quant = BubbleDecoder::new(&p).with_profile(MetricProfile::Quantized);
+        for dec in [&exact, &quant] {
+            assert_eq!(DecodeRequest::new(dec, &rx).decode().message, msg);
+        }
+        let time = |dec: &BubbleDecoder| {
+            let t0 = Instant::now();
+            black_box(DecodeRequest::new(dec, black_box(&rx)).decode());
+            t0.elapsed().as_secs_f64()
+        };
+        // Alternate which profile goes first, so neither always runs on
+        // the caches the other left.
+        let mut ratios: Vec<f64> = (0..PAIRS)
+            .map(|i| {
+                let (e, q) = if i % 2 == 0 {
+                    let e = time(&exact);
+                    (e, time(&quant))
+                } else {
+                    let q = time(&quant);
+                    (time(&exact), q)
+                };
+                e / q
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let (low, median, high) = (ratios[PAIRS / 4], ratios[PAIRS / 2], ratios[3 * PAIRS / 4]);
+        println!(
+            "quantized over exact, n256_B256_2passes: median {median:.3}x \
+             (quartiles {low:.3}-{high:.3}x, {PAIRS} pairs, floor {FLOOR}x)"
+        );
+        assert!(
+            median >= FLOOR,
+            "the quantized decode is only {median:.3}x faster than the exact one (floor {FLOOR}x)"
+        );
+    }
 }

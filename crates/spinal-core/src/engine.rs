@@ -15,9 +15,24 @@
 //! per-step dispatch costs more than it saves, so the pool never splits
 //! a block.
 //!
-//! The pool is **long-lived** (no `std::thread::scope` per call):
-//! threads are spawned once with the service and joined when it drops,
-//! so a sweep that decodes millions of blocks pays thread startup once.
+//! A pool is **long-lived** (no `std::thread::scope` per call). A
+//! service made by [`DecodeService::new`](crate::service::DecodeService::new)
+//! spawns its own pool once and joins it when the service drops, so a
+//! sweep that decodes millions of blocks pays thread startup once.
+//!
+//! # The process-wide pool
+//!
+//! [`shared_pool`] holds one more pool for the whole process: one worker
+//! per core (`available_parallelism`), spawned by its first use and
+//! **never joined**. Services made by
+//! [`DecodeService::shared`](crate::service::DecodeService::shared) run
+//! their attempts on it, each keeping its own admission limit, queue,
+//! in-flight cap and metrics, so a short transfer pays neither a spawn
+//! nor a join, and its attempts land on workers whose workspaces are
+//! already warm. A 1-core host has no such pool. Its workers are
+//! invisible to the `spinal-check` model checker and outlive every
+//! schedule it explores, so a model-check harness must not build it:
+//! harnesses use a private pool (`DecodeService::new`).
 //!
 //! # Panic isolation
 //!
@@ -33,7 +48,8 @@
 use crate::decoder::DecodeWorkspace;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::{Arc, OnceLock};
 
 /// Structured failure of one decode attempt. A failing worker never
 /// aborts the process: the attempt resolves with one of these through
@@ -98,6 +114,7 @@ struct PoolShared {
 /// runs. Dropping the pool wakes and joins all workers.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
+    workers: usize,
 }
 
 fn spawn_worker(shared: &Arc<PoolShared>, slot: usize) -> std::thread::JoinHandle<()> {
@@ -124,7 +141,12 @@ impl WorkerPool {
                 st.handles.push(spawn_worker(&shared, slot));
             }
         }
-        WorkerPool { shared }
+        WorkerPool { shared, workers }
+    }
+
+    /// The number of worker slots.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Queue a job: `run` gets the worker's workspace; if it panics,
@@ -136,6 +158,28 @@ impl WorkerPool {
         drop(st);
         self.shared.ready.notify_one();
     }
+}
+
+#[cfg(test)]
+impl WorkerPool {
+    /// The thread serving each worker slot, in slot order: a slot whose
+    /// worker panicked shows its replacement.
+    pub(crate) fn worker_threads(&self) -> Vec<std::thread::ThreadId> {
+        let st = self.shared.state.lock();
+        st.handles.iter().map(|h| h.thread().id()).collect()
+    }
+}
+
+/// The process-wide pool (see the module docs): one worker per core,
+/// spawned by the first call and never joined. `None` on a 1-core host,
+/// where services decode inline on the caller's thread instead.
+pub(crate) fn shared_pool() -> Option<Arc<WorkerPool>> {
+    static POOL: OnceLock<Option<Arc<WorkerPool>>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        (cores > 1).then(|| Arc::new(WorkerPool::new(cores)))
+    })
+    .clone()
 }
 
 impl Drop for WorkerPool {

@@ -1,6 +1,6 @@
 //! Many-session decode service — the one way to decode across cores:
 //! per-session state, admission control, backpressure, and metrics on
-//! top of a private worker pool.
+//! top of a worker pool, the service's own or the process-wide one.
 //!
 //! The paper's receiver is rateless and incremental — symbols trickle in
 //! per block and decodes retry at pass boundaries (§7.1) — and the
@@ -28,17 +28,23 @@
 //!   latency p50/p99, symbols/s, retries, worker panics; snapshotable as
 //!   JSON for the `traffic_gen` harness and CI smoke checks.
 //!
-//! A service of more than one thread runs session jobs on its pool
+//! A service of more than one thread runs session jobs on pool
 //! workers; a 1-thread service runs them inline at `submit`, which
 //! keeps `wait` non-blocking there and the whole layer deadlock-free at
-//! every thread count. At every width a decoder panic ends only its
-//! attempt, as a [`DecodeFailure`]. Results are bit-identical to a
-//! serial decode of the same observations — the job body is the serial
+//! every thread count. [`DecodeService::new`] spawns a private pool
+//! that lives and dies with the service. [`DecodeService::shared`]
+//! spawns nothing: its attempts run on the process-wide pool, one
+//! worker per core, which every such service shares and which is never
+//! joined. The books stay per service either way: two shared services
+//! never refuse each other's sessions or count each other's attempts.
+//! At every width a decoder panic ends only its attempt, as a
+//! [`DecodeFailure`]. Results are bit-identical to a serial decode of
+//! the same observations — the job body is the serial
 //! [`DecodeRequest`] decode itself.
 
 use crate::api::{DecodeRequest, RxObservations};
 use crate::decoder::{BubbleDecoder, DecodeResult, DecodeWorkspace};
-use crate::engine::{run_caught, DecodeFailure, WorkerPool};
+use crate::engine::{run_caught, shared_pool, DecodeFailure, WorkerPool};
 use crate::rx::{RxBits, RxSymbols};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -411,9 +417,10 @@ struct ServiceState {
 }
 
 struct ServiceInner {
-    /// The worker pool of a service with more than one thread; `None`
-    /// runs every attempt inline at `submit`.
-    pool: Option<WorkerPool>,
+    /// The worker pool of a service with more than one thread (its own,
+    /// or the process-wide one); `None` runs every attempt inline at
+    /// `submit`.
+    pool: Option<Arc<WorkerPool>>,
     /// The workspace inline attempts run on.
     inline_ws: Mutex<DecodeWorkspace>,
     threads: usize,
@@ -443,11 +450,40 @@ impl std::fmt::Debug for DecodeService {
 impl DecodeService {
     /// Create a service with a thread budget, clamped to at least 1.
     /// A budget of `threads > 1` spawns exactly that many pool workers
-    /// (a waiting caller only blocks, so `threads` cores stay busy); a
+    /// (a waiting caller only blocks, so `threads` cores stay busy),
+    /// private to this service and joined when its last clone drops; a
     /// budget of 1 spawns none and runs every attempt inline at
     /// `submit`, with no coordination beyond the session books.
     pub fn new(threads: usize, cfg: ServiceConfig) -> Self {
         let threads = threads.max(1);
+        let pool = (threads > 1).then(|| Arc::new(WorkerPool::new(threads)));
+        Self::on_pool(threads, pool, cfg)
+    }
+
+    /// Create a service whose attempts run on the process-wide decode
+    /// pool: one worker per core (`available_parallelism`), spawned by
+    /// the first call in the process and never joined, each worker
+    /// keeping its warm [`DecodeWorkspace`] from one service to the
+    /// next. So this spawns no thread after the first call, and dropping
+    /// the service joins none. The service keeps its own admission
+    /// limit, queue, in-flight cap and metrics, as one made by
+    /// [`DecodeService::new`] with a thread budget of one per core
+    /// would; only the workers are shared. On a 1-core host there is no
+    /// pool, and the service runs every attempt inline at `submit`.
+    ///
+    /// The pool's threads stay alive, idle, for the rest of the
+    /// process. A model-check harness must not call this: its schedules
+    /// cannot see the shared workers (see `spinal-check`).
+    pub fn shared(cfg: ServiceConfig) -> Self {
+        match shared_pool() {
+            Some(pool) => Self::on_pool(pool.workers(), Some(pool), cfg),
+            None => Self::new(1, cfg),
+        }
+    }
+
+    /// A service with a thread budget of `threads` whose attempts run on
+    /// `pool`, or inline at `submit` without one.
+    fn on_pool(threads: usize, pool: Option<Arc<WorkerPool>>, cfg: ServiceConfig) -> Self {
         let max_inflight = if cfg.max_inflight == 0 {
             threads
         } else {
@@ -456,7 +492,7 @@ impl DecodeService {
         .max(1);
         DecodeService {
             inner: Arc::new(ServiceInner {
-                pool: (threads > 1).then(|| WorkerPool::new(threads)),
+                pool,
                 inline_ws: Mutex::new(DecodeWorkspace::new()),
                 threads,
                 cfg,
@@ -492,7 +528,8 @@ impl DecodeService {
         &self.inner.cfg
     }
 
-    /// The service's thread budget.
+    /// The service's thread budget: for a [`DecodeService::shared`]
+    /// service, the width of the process-wide pool.
     pub fn threads(&self) -> usize {
         self.inner.threads
     }
@@ -1527,7 +1564,10 @@ mod tests {
         // An unpunctured B = 32 decoder runs its block check on every
         // block's B/16 candidate, so a check that panics on one payload
         // poisons exactly that block, on whichever worker decodes it —
-        // or inline at `submit` on a 1-thread service.
+        // or inline at `submit` on a 1-thread service. The last case is
+        // a service on the process-wide pool, which outlives it: a second
+        // service on the same workers decodes the next batch, and each
+        // service's books count its own attempts alone.
         const POISONED: usize = 2;
         let p = CodeParams::default()
             .with_n(32)
@@ -1554,9 +1594,21 @@ mod tests {
             .filter(|&(i, _)| i != POISONED)
             .map(|(_, b)| b.clone())
             .collect();
-        for threads in [1, 2, 3] {
-            let ctx = format!("threads {threads}");
-            let svc = DecodeService::new(threads, ServiceConfig::default());
+        let cfg = ServiceConfig::default();
+        let mut cases: Vec<(String, DecodeService, DecodeService)> = [1, 2, 3]
+            .into_iter()
+            .map(|threads| {
+                let svc = DecodeService::new(threads, cfg);
+                (format!("threads {threads}"), svc.clone(), svc)
+            })
+            .collect();
+        cases.push((
+            "shared pool".to_string(),
+            DecodeService::shared(cfg),
+            DecodeService::shared(cfg),
+        ));
+        for (ctx, svc, next) in cases {
+            let slots = svc.inner.pool.as_ref().map(|pool| pool.worker_threads());
             let mut batch = svc.decode_batch(&dec, buffers.clone());
             match batch.remove(POISONED) {
                 Err(DecodeFailure::WorkerPanicked { payload_msg }) => {
@@ -1565,14 +1617,24 @@ mod tests {
                 Ok(_) => panic!("{ctx}: the poisoned block decoded"),
             }
             assert_batch_matches_serial(&batch, &dec, &siblings, &ctx);
-            // The service still decodes afterwards, on the respawned
-            // worker or the fresh inline workspace.
-            let again = svc.decode_batch(&dec, siblings.clone());
+            // The worker respawns before the failure is delivered, so
+            // the poisoned slot alone already has a new thread.
+            if let (Some(pool), Some(slots)) = (&svc.inner.pool, slots) {
+                let now = pool.worker_threads();
+                assert_eq!(now.len(), slots.len(), "{ctx}");
+                let respawned = slots.iter().zip(&now).filter(|(a, b)| a != b).count();
+                assert_eq!(respawned, 1, "{ctx}: one slot respawns per panic");
+            }
+            // The pool still decodes afterwards, on the respawned worker
+            // or the fresh inline workspace.
+            let again = next.decode_batch(&dec, siblings.clone());
             assert_batch_matches_serial(&again, &dec, &siblings, &format!("{ctx} after"));
             let m = svc.metrics();
             assert_eq!(m.worker_panics, 1, "{ctx}");
             assert_eq!(m.attempts_failed, 1, "{ctx}");
-            assert_eq!(m.submits, m.completions + m.attempts_failed, "{ctx}");
+            for m in [svc.metrics(), next.metrics()] {
+                assert_eq!(m.submits, m.completions + m.attempts_failed, "{ctx}");
+            }
         }
     }
 }

@@ -31,7 +31,12 @@
 //!
 //! Attempts are pipelined. A block that crosses a boundary submits its
 //! attempt and the receiver moves on, so every ready block decodes at
-//! once on the service's workers. The attempt is *settled* later —
+//! once on the service's workers. A receiver made by
+//! [`SpinalReceiver::new`] runs a transfer of two or more blocks on
+//! the process-wide decode pool ([`DecodeService::shared`]), whose
+//! workers and their warm workspaces outlive the transfer, so a
+//! transfer spawns and joins no thread; one block decodes inline on
+//! the caller's thread. The attempt is *settled* later —
 //! waited for, offered to the CRC, and its session closed if the CRC
 //! accepts — before the same block takes in more data, and before
 //! anything reads decode outcomes ([`SpinalReceiver::feedback`],
@@ -66,7 +71,6 @@ use spinal_core::{
 };
 use std::collections::BTreeMap;
 use std::io;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Receiver-side knobs.
@@ -359,13 +363,17 @@ impl TransferState {
     }
 }
 
-/// Worker threads for a transfer of `n_blocks` blocks on a receiver
-/// that owns its service: one per core, but no more than there are
-/// blocks, so a one-block transfer decodes inline and a short one does
-/// not pay to spawn workers it cannot use.
-fn pool_threads(n_blocks: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    cores.min(n_blocks).max(1)
+/// The service a receiver that owns its service decodes a transfer of
+/// `n_blocks` blocks on: a fresh one per Init, so its metrics describe
+/// that transfer alone. Two or more blocks run on the process-wide
+/// pool, which spawns nothing per transfer; one block decodes inline on
+/// the caller's thread, since it has no sibling to overlap with.
+fn own_service(n_blocks: usize) -> DecodeService {
+    if n_blocks > 1 {
+        DecodeService::shared(ServiceConfig::default())
+    } else {
+        DecodeService::new(1, ServiceConfig::default())
+    }
 }
 
 /// Rateless receiver (see the module docs). Construct once with the
@@ -376,8 +384,9 @@ pub struct SpinalReceiver {
     schedule: Schedule,
     cfg: ReceiverConfig,
     service: DecodeService,
-    /// True when `service` is this receiver's own, resized per Init
-    /// ([`SpinalReceiver::new`]); a caller's service is never replaced.
+    /// True when `service` is this receiver's own, taken afresh at each
+    /// Init ([`SpinalReceiver::new`]); a caller's service is never
+    /// replaced.
     owns_service: bool,
     transfer: Option<TransferState>,
     decode_attempts: usize,
@@ -392,13 +401,17 @@ pub struct SpinalReceiver {
 
 impl SpinalReceiver {
     /// Create a receiver for links whose sender uses `params`, with a
-    /// private [`DecodeService`] sized on every Init: one worker per
-    /// core, up to one per block. It starts with one thread, which runs
-    /// every attempt inline at submit, and a one-block transfer keeps
-    /// it that way.
+    /// [`DecodeService`] of its own, taken afresh at every Init. A
+    /// transfer of two or more blocks decodes on a
+    /// [`DecodeService::shared`] service: its attempts run on the
+    /// process-wide pool of one worker per core, spawned by the first
+    /// such transfer in the process and kept, idle, after it, so no
+    /// transfer spawns or joins a thread. A one-block transfer, and the
+    /// receiver before its first Init, decode inline at submit on a
+    /// 1-thread service. Either way the service's admission limit,
+    /// queue and metrics are this receiver's alone.
     pub fn new(params: &CodeParams, cfg: ReceiverConfig) -> Self {
-        let mut receiver =
-            Self::with_service(params, cfg, DecodeService::new(1, ServiceConfig::default()));
+        let mut receiver = Self::with_service(params, cfg, own_service(1));
         receiver.owns_service = true;
         receiver
     }
@@ -436,9 +449,11 @@ impl SpinalReceiver {
         self.salvage = Some((transfer_id, blocks));
     }
 
-    /// The decode service backing this receiver's block sessions (for a
-    /// receiver made by [`SpinalReceiver::new`], the one sized at the
-    /// latest Init).
+    /// The decode service backing this receiver's block sessions. For a
+    /// receiver made by [`SpinalReceiver::new`] it is the one taken at
+    /// the latest Init, so its metrics count that transfer's sessions
+    /// and attempts alone, even when its workers are the process-wide
+    /// pool's.
     pub fn service(&self) -> &DecodeService {
         &self.service
     }
@@ -509,10 +524,7 @@ impl SpinalReceiver {
             self.escalations_retired += old.escalations;
         }
         if self.owns_service {
-            let threads = pool_threads(usize::from(n_blocks));
-            if threads != self.service.threads() {
-                self.service = DecodeService::new(threads, ServiceConfig::default());
-            }
+            self.service = own_service(usize::from(n_blocks));
         }
         let mut t = TransferState {
             transfer_id,

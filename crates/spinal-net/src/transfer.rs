@@ -1273,6 +1273,75 @@ mod tests {
         assert!(rejected > 0, "submit was never refused");
     }
 
+    /// Receivers made by `SpinalReceiver::new` on several threads at
+    /// once all decode on the process-wide pool, yet each transfer's
+    /// report is the one it gets alone, and each receiver's service
+    /// counts its own sessions and attempts: every submit completed,
+    /// none stale, none refused. Each thread walks the whole list from
+    /// its own offset, so different transfers overlap on the workers.
+    #[test]
+    fn concurrent_receivers_share_the_pool_and_stay_isolated() {
+        const THREADS: usize = 3;
+        const SEEDS: u64 = if cfg!(debug_assertions) { 2 } else { 8 };
+        let punctured = CodeParams::default().with_n(64).with_b(16);
+        let laddered = CodeParams {
+            puncturing: Puncturing::none(),
+            ..punctured.clone()
+        }
+        .with_b(64);
+        let lossy = Impairments {
+            loss: 0.1,
+            dup: 0.05,
+            reorder: 0.1,
+            reorder_span: 3,
+        };
+        let cfg = TransferConfig {
+            max_passes: 12,
+            max_rounds: 120,
+            ..TransferConfig::default()
+        };
+        let payload: Vec<u8> = (0u8..30).collect(); // 5 blocks of 6 bytes
+        let link = |snr_db: f64, seed: u64| {
+            LoopbackLink::pair(NoiseModel::Awgn { snr_db }, lossy, lossy, seed)
+        };
+        let mut transfers = Vec::new();
+        for p in [&punctured, &laddered] {
+            for snr_db in [6.0, 14.0] {
+                for seed in 0..SEEDS {
+                    let (mut tx, mut rx) = link(snr_db, seed);
+                    let alone = run_transfer(&mut tx, &mut rx, p, &payload, 1, cfg)
+                        .expect("loopback I/O cannot fail");
+                    transfers.push((p, snr_db, seed, alone));
+                }
+            }
+        }
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for offset in 0..THREADS {
+                let (transfers, start, payload) = (&transfers, &start, &payload);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in 0..transfers.len() {
+                        let (p, snr_db, seed, alone) = &transfers[(k + offset) % transfers.len()];
+                        let ctx = format!("{:?} {snr_db} dB seed {seed}", p.puncturing);
+                        let mut sender = SpinalSender::new(p, payload, 1, cfg.sender());
+                        let mut receiver = SpinalReceiver::new(p, cfg.receiver());
+                        let (mut tx, mut rx) = link(*snr_db, *seed);
+                        let report =
+                            drive_transfer(&mut sender, &mut receiver, &mut tx, &mut rx, cfg)
+                                .expect("loopback I/O cannot fail");
+                        assert_eq!(&report, alone, "{ctx}: differs from the transfer alone");
+                        let m = receiver.service().metrics();
+                        assert_eq!(m.submits, m.completions, "{ctx}: attempt left in flight");
+                        assert_eq!(m.submits as usize, report.decode_attempts, "{ctx}");
+                        assert_eq!(m.stale_completions, 0, "{ctx}");
+                        assert_eq!(m.sessions_shed + m.submits_rejected, 0, "{ctx}");
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn chaos_transfer_is_deterministic_in_seed() {
         let p = params();
