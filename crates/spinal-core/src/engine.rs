@@ -36,14 +36,19 @@
 //!
 //! # Panic isolation
 //!
-//! A worker that **panics** mid-job does not take the process with it:
-//! the pool catches the panic, respawns the slot with a fresh
-//! [`DecodeWorkspace`], and hands the job's failure half a
-//! [`DecodeFailure::WorkerPanicked`], which the service delivers
-//! through the same session slot a success would use, so waiters never
-//! hang. The poisoned thread then exits. A 1-thread service's inline
-//! attempts run under the same catch ([`run_caught`]), so a decoder
-//! panic ends its attempt the same way at every width.
+//! A decoder that **panics** mid-attempt does not take the process with
+//! it. The service runs each attempt's decode, and nothing else, under
+//! [`run_caught`], on a pool worker and inline at `submit` alike: the
+//! panic ends that attempt as a [`DecodeFailure::WorkerPanicked`],
+//! delivered through the same session slot a success would use, so
+//! waiters never hang; the workspace it ran on is replaced with a fresh
+//! one, and the thread that ran it carries on with the next attempt. A
+//! pool's workers are therefore spawned once and never replaced. The
+//! service's own bookkeeping around the decode runs uncaught: a panic
+//! there is a bug in the service, not a decode failure. It unwinds out
+//! of the thread running the attempt — into the caller of `submit`
+//! inline, or out of a pool worker, which then ends and leaves its pool
+//! one worker short.
 
 use crate::decoder::DecodeWorkspace;
 use parking_lot::{Condvar, Mutex};
@@ -51,7 +56,7 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, OnceLock};
 
-/// Structured failure of one decode attempt. A failing worker never
+/// Structured failure of one decode attempt. A failing decode never
 /// aborts the process: the attempt resolves with one of these through
 /// the same completion path a success would take (session
 /// [`wait`](crate::service::Session::wait)/[`try_result`](crate::service::Session::try_result),
@@ -59,10 +64,10 @@ use std::sync::{Arc, OnceLock};
 /// [`decode_batch`](crate::service::DecodeService::decode_batch)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeFailure {
-    /// The decode job panicked, on a pool worker or inline at
-    /// `submit`. The panic payload's message is preserved; the workspace
-    /// it ran on was replaced with a fresh one (a pool worker's slot is
-    /// respawned).
+    /// The attempt's decode panicked, on a pool worker or inline at
+    /// `submit`. The panic payload's message is preserved. The
+    /// workspace the decode ran on was replaced with a fresh one; the
+    /// thread it ran on lives on and runs the next attempt.
     WorkerPanicked {
         /// The panic payload, when it was a string (the overwhelmingly
         /// common case); `"non-string panic payload"` otherwise.
@@ -82,26 +87,13 @@ impl std::fmt::Display for DecodeFailure {
 
 impl std::error::Error for DecodeFailure {}
 
-/// The work half of a pool job: runs on a worker, with exclusive use of
-/// that worker's long-lived [`DecodeWorkspace`].
+/// A pool job: runs on a worker, with exclusive use of that worker's
+/// long-lived [`DecodeWorkspace`].
 pub(crate) type RunFn = Box<dyn FnOnce(&mut DecodeWorkspace) + Send + 'static>;
 
-/// The failure half: invoked at most once, with the structured failure,
-/// when the job panics. Must resolve whatever completion the run half
-/// would have resolved.
-pub(crate) type FailFn = Box<dyn FnOnce(DecodeFailure) + Send + 'static>;
-
-/// A unit of work for the pool.
-struct Job {
-    run: RunFn,
-    on_fail: FailFn,
-}
-
 struct PoolState {
-    queue: VecDeque<Job>,
+    queue: VecDeque<RunFn>,
     shutdown: bool,
-    /// Per-slot join handles (replaced on respawn).
-    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 struct PoolShared {
@@ -114,15 +106,7 @@ struct PoolShared {
 /// runs. Dropping the pool wakes and joins all workers.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
-    workers: usize,
-}
-
-fn spawn_worker(shared: &Arc<PoolShared>, slot: usize) -> std::thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("spinal-decode-{slot}"))
-        .spawn(move || worker_loop(&shared, slot))
-        .expect("spawn decode worker")
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl WorkerPool {
@@ -131,42 +115,43 @@ impl WorkerPool {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 shutdown: false,
-                handles: Vec::new(),
             }),
             ready: Condvar::new(),
         });
-        {
-            let mut st = shared.state.lock();
-            for slot in 0..workers {
-                st.handles.push(spawn_worker(&shared, slot));
-            }
-        }
-        WorkerPool { shared, workers }
+        let handles = (0..workers)
+            .map(|slot| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("spinal-decode-{slot}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn decode worker")
+            })
+            .collect();
+        WorkerPool { shared, handles }
     }
 
     /// The number of worker slots.
     pub(crate) fn workers(&self) -> usize {
-        self.workers
+        self.handles.len()
     }
 
-    /// Queue a job: `run` gets the worker's workspace; if it panics,
-    /// `on_fail` resolves the caller's completion instead, so exactly
-    /// one of the two ends the job.
-    pub(crate) fn submit(&self, run: RunFn, on_fail: FailFn) {
-        let mut st = self.shared.state.lock();
-        st.queue.push_back(Job { run, on_fail });
-        drop(st);
+    /// Queue a job for the next free worker.
+    pub(crate) fn submit(&self, run: RunFn) {
+        self.shared.state.lock().queue.push_back(run);
         self.shared.ready.notify_one();
     }
 }
 
 #[cfg(test)]
 impl WorkerPool {
-    /// The thread serving each worker slot, in slot order: a slot whose
-    /// worker panicked shows its replacement.
+    /// The workers' threads that are still running, in slot order: a
+    /// worker that died drops out.
     pub(crate) fn worker_threads(&self) -> Vec<std::thread::ThreadId> {
-        let st = self.shared.state.lock();
-        st.handles.iter().map(|h| h.thread().id()).collect()
+        self.handles
+            .iter()
+            .filter(|h| !h.is_finished())
+            .map(|h| h.thread().id())
+            .collect()
     }
 }
 
@@ -184,14 +169,10 @@ pub(crate) fn shared_pool() -> Option<Arc<WorkerPool>> {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let handles = {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            std::mem::take(&mut st.handles)
-        };
+        self.shared.state.lock().shutdown = true;
         self.shared.ready.notify_all();
         let me = std::thread::current().id();
-        for h in handles {
+        for h in self.handles.drain(..) {
             if h.thread().id() == me {
                 // The pool can be dropped *from one of its own workers*
                 // (a service job holding the last Arc to the service).
@@ -216,30 +197,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run one job's work half on `ws`, catching a panic as the attempt's
+/// Run one attempt's decode, catching a panic as the attempt's
 /// [`DecodeFailure::WorkerPanicked`]: the one place a decode panic is
 /// contained, for pool workers and inline attempts alike. After a
-/// failure `ws` may hold a half-finished decode's state; the caller
-/// replaces it.
-pub(crate) fn run_caught(
-    run: impl FnOnce(&mut DecodeWorkspace),
-    ws: &mut DecodeWorkspace,
-) -> Result<(), DecodeFailure> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(ws))).map_err(|payload| {
+/// failure the workspace the decode ran on may hold a half-finished
+/// decode's state; the caller replaces it.
+pub(crate) fn run_caught<R>(decode: impl FnOnce() -> R) -> Result<R, DecodeFailure> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(decode)).map_err(|payload| {
         DecodeFailure::WorkerPanicked {
             payload_msg: panic_message(payload.as_ref()),
         }
     })
 }
 
-fn worker_loop(shared: &Arc<PoolShared>, slot: usize) {
+fn worker_loop(shared: &PoolShared) {
     let mut ws = DecodeWorkspace::new();
     loop {
-        let job = {
+        let run = {
             let mut st = shared.state.lock();
             loop {
-                if let Some(job) = st.queue.pop_front() {
-                    break job;
+                if let Some(run) = st.queue.pop_front() {
+                    break run;
                 }
                 if st.shutdown {
                     return;
@@ -247,21 +225,6 @@ fn worker_loop(shared: &Arc<PoolShared>, slot: usize) {
                 shared.ready.wait(&mut st);
             }
         };
-        let Job { run, on_fail } = job;
-        // A panicking job must not take the process down or leave its
-        // waiter hanging: catch it, respawn the slot, resolve the
-        // attempt as a structured failure, and let this thread die.
-        if let Err(failure) = run_caught(run, &mut ws) {
-            {
-                let mut st = shared.state.lock();
-                if !st.shutdown {
-                    // Overwrites this thread's own handle: the dying
-                    // thread is detached, never joined.
-                    st.handles[slot] = spawn_worker(shared, slot);
-                }
-            }
-            on_fail(failure);
-            return;
-        }
+        run(&mut ws);
     }
 }

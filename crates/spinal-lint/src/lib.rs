@@ -69,10 +69,11 @@ const PANICKY_PATHS: &[&str] = &[
 ];
 
 /// The only paths allowed to contain panic-containment primitives
-/// (`catch_unwind` / `resume_unwind`): the engine's worker isolation —
-/// which converts a panic into `DecodeFailure::WorkerPanicked` and
-/// respawns the worker — and the check/compat harnesses that must
-/// observe panics without dying. `std::process::abort` is allowed
+/// (`catch_unwind` / `resume_unwind`): the engine's one catch around an
+/// attempt's decode — which converts a panic into
+/// `DecodeFailure::WorkerPanicked` on whichever thread runs the attempt,
+/// and leaves that thread alive — and the check/compat harnesses that
+/// must observe panics without dying. `std::process::abort` is allowed
 /// nowhere: that is exactly the abort-on-panic pattern this repo
 /// removed.
 const UNWIND_ALLOW: &[&str] = &[

@@ -13,11 +13,11 @@
 //!
 //! Decode attempts run at subpass boundaries (§5), each block through
 //! its own [`Session`] on a [`DecodeService`]: the session owns the
-//! receive buffer and the block's schedule position, and each attempt
-//! builds its tables from the whole buffer on the per-core workspace of
-//! the service thread that decodes it. All blocks of a transfer share
-//! one decoder with the [`MetricProfile::Quantized`] metric (its BLER
-//! is held to the exact profile's by the `quant_parity` oracle).
+//! receive buffer, and each attempt builds its tables from the whole
+//! buffer on the per-core workspace of the service thread that decodes
+//! it. All blocks of a transfer share one decoder with the
+//! [`MetricProfile::Quantized`] metric (its BLER is held to the exact
+//! profile's by the `quant_parity` oracle).
 //!
 //! That decoder carries the block CRC as its block check
 //! ([`BubbleDecoder::with_block_check`]). On an unpunctured schedule
@@ -159,9 +159,11 @@ fn block_crc(msg: &Message) -> bool {
 /// Per-block receive state.
 struct BlockState {
     /// The block's decode session, opened from the first span's payload
-    /// kind (it owns the observation buffer and subpass position; its
-    /// attempts run on the service's workspaces).
+    /// kind (it owns the observation buffer; its attempts run on the
+    /// service's workspaces).
     session: Option<Session>,
+    /// Index of the next subpass boundary an attempt waits for.
+    boundary: usize,
     /// Out-of-order spans waiting for the cursor, keyed by offset.
     pending: BTreeMap<u32, Payload>,
     /// Next schedule offset the buffer expects.
@@ -173,6 +175,7 @@ impl BlockState {
     fn new() -> Self {
         BlockState {
             session: None,
+            boundary: 0,
             pending: BTreeMap::new(),
             cursor: 0,
             decoded: false,
@@ -329,22 +332,22 @@ impl TransferState {
     /// Submit block `idx`'s next attempt if its buffer has crossed the
     /// next subpass boundary; returns true if an attempt was submitted.
     /// A refused submit settles and tries once more; if it is refused
-    /// again, the position stays put, so the same boundary is retried
-    /// on the next datagram.
+    /// again, the boundary stays put, so it is retried on the next
+    /// datagram.
     fn try_decode(&mut self, idx: usize) -> bool {
-        let Some((received, position)) = self
-            .session(idx)
-            .and_then(|s| Some((s.buffer()?.symbols_received(), s.position())))
-        else {
+        let Some((received, boundary)) = self.blocks.get(idx).and_then(|state| {
+            let received = state.session.as_ref()?.buffer()?.symbols_received();
+            Some((received, state.boundary))
+        }) else {
             return false;
         };
         // Nothing new past the next boundary, or the pass budget is spent.
-        if self.boundaries.get(position).is_none_or(|&b| received < b) {
+        if self.boundaries.get(boundary).is_none_or(|&b| received < b) {
             return false;
         }
         // Consume every boundary the buffer has already sailed past:
         // one attempt per drain is enough.
-        let mut next = position;
+        let mut next = boundary;
         while self.boundaries.get(next).is_some_and(|&b| b <= received) {
             next += 1;
         }
@@ -356,8 +359,8 @@ impl TransferState {
         if !submitted {
             return false;
         }
-        if let Some(s) = self.session(idx) {
-            s.set_position(next);
+        if let Some(state) = self.blocks.get_mut(idx) {
+            state.boundary = next;
         }
         true
     }

@@ -5,15 +5,23 @@
 //! multi-block `run_transfer` exactly `available_parallelism` decode
 //! workers are alive (none on a 1-core host, whose receivers decode
 //! inline), and many more transfers later they are the same threads.
+//! A decode that panics on one of them ends its attempt alone: the
+//! worker catches it and lives on, so the threads stay the same.
 //!
 //! Linux only: the test lists the process's threads by name under
 //! `/proc/self/task`. It is a binary of its own, so no other test's
 //! private service adds decode workers of the same name.
 #![cfg(target_os = "linux")]
 
+use spinal_codes::channel::{AwgnChannel, Channel};
+use spinal_codes::core::DecodeFailure;
 use spinal_codes::net::{run_loopback_transfer, Impairments, NoiseModel, TransferConfig};
-use spinal_codes::CodeParams;
+use spinal_codes::{
+    BubbleDecoder, CodeParams, DecodeRequest, DecodeService, Encoder, Message, RxSymbols, Schedule,
+    ServiceConfig, SessionBuffer, SessionOptions,
+};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The thread ids of this process's decode workers.
@@ -86,5 +94,42 @@ fn transfers_reuse_one_pool_of_decode_workers() {
         decode_workers(),
         first,
         "20 more transfers ran on the same decode workers"
+    );
+
+    // A panicking attempt on the same pool fails alone, and the session
+    // decodes bit for bit on the next attempt.
+    let dec = Arc::new(BubbleDecoder::new(&params));
+    let message = Message::from_bytes(payload[..8].to_vec(), params.n);
+    let mut enc = Encoder::new(&params, &message);
+    let mut rx = RxSymbols::new(Schedule::new(
+        params.num_spines(),
+        params.tail,
+        params.puncturing,
+    ));
+    rx.push(&AwgnChannel::new(15.0, 99).transmit(&enc.next_symbols(3 * params.symbols_per_pass())));
+    let serial = DecodeRequest::new(&dec, &rx).decode();
+    let svc = DecodeService::shared(ServiceConfig::default());
+    let mut session = svc
+        .open_session(&dec, SessionBuffer::Symbols(rx), SessionOptions::default())
+        .expect("admitted");
+    session.poison_next_attempt("decode_threads poison");
+    session.submit().expect("queued");
+    match session.wait().expect("attempt in flight") {
+        Err(DecodeFailure::WorkerPanicked { payload_msg }) => {
+            assert_eq!(payload_msg, "decode_threads poison")
+        }
+        Ok(_) => panic!("the poisoned attempt decoded"),
+    }
+    session.submit().expect("queued after the failure");
+    let retry = session
+        .wait()
+        .expect("attempt in flight")
+        .expect("clean retry");
+    assert_eq!(retry.message, serial.message);
+    assert_eq!(retry.cost.to_bits(), serial.cost.to_bits());
+    assert_eq!(
+        settled_workers(want),
+        first,
+        "the worker that caught the panic still serves the pool"
     );
 }
