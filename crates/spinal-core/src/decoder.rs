@@ -124,8 +124,12 @@
 //! `(cost, tree index, relative path)`, which names a unique leaf
 //! regardless of where it sits in the frontier arrays. This is what
 //! lets the specialised quantized `d = 1` kernel, which lays its
-//! frontier out leaf-major, agree bit for bit with the generic beam,
-//! even when every leaf ties at `+∞`.
+//! frontier out leaf-major and scores it block by block, agree bit for
+//! bit with the generic beam, even when every leaf ties at `+∞`. The
+//! one order that does matter is within a path cost: saturating adds
+//! are not associative, so wherever a sum could saturate the kernel
+//! adds each child's observations one at a time in the generic beam's
+//! order.
 
 use crate::bits::Message;
 use crate::params::CodeParams;
@@ -694,8 +698,8 @@ pub struct DecodeWorkspace {
     arena: Vec<(u32, u32)>,
     tree_roots: Vec<u32>,
     sel_scratch: Vec<u32>,
-    // Second RNG-word buffer for the specialised quantized d=1 kernel
-    // (observations are consumed in fused pairs).
+    // The quantized d=1 kernel's second block of RNG words, beside
+    // `qfr.words`: its sweeps fold a spine's observations in pairs.
     qwords2: Vec<u32>,
 }
 
@@ -764,10 +768,78 @@ impl DecodeWorkspace {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// Cache block (in children) for the quantized d=1 kernel's fused
-/// finish+gather phase: two RNG-word buffers of this size live on the
-/// stack, L1-resident, instead of streaming full-frontier arrays.
+/// Cache block, in children, of the quantized `d = 1` kernel: each
+/// spine is grown, hashed and scored a block of whole parents at a
+/// time, one parent's children when `2^k` exceeds this. The block's
+/// two RNG-word buffers are the workspace's `qfr.words` and `qwords2`,
+/// L1-resident at this size, instead of full-frontier arrays.
 const BLK: usize = 512;
+
+/// One sweep of the quantized `d = 1` kernel over a block's children:
+/// add one observation's branch metric to each child's cost, or two
+/// with `PAIR`, gathered from the sweep's `[I | Q]` tables by the RNG
+/// words `wa` (and `wb`). The `FIRST` sweep of a spine starts from the
+/// parents' costs `bases`, `2^k` children each; later sweeps add to
+/// the costs the one before wrote. With `PLAIN` the adds are plain
+/// `u32` sums (see `BubbleDecoder::decode_quant_prepared`); otherwise
+/// each observation saturates, in the generic beam's order.
+///
+/// With `2^c` levels per dimension, a word's I index is its top `c`
+/// bits and its Q index the `c` bits below bit 16, so one variable
+/// shift serves both. Each table is sliced to exactly `2^c` entries
+/// and the masks keep each index below that, so the gathers carry no
+/// bounds checks.
+fn sweep<const FIRST: bool, const PAIR: bool, const PLAIN: bool>(
+    costs: &mut [u32],
+    bases: &[u32],
+    (wa, wb): (&[u32], &[u32]),
+    tables: &[u16],
+    c: usize,
+) {
+    let m = 1usize << c;
+    let (ti0, rest) = tables.split_at(m);
+    let (tq0, rest) = rest.split_at(m);
+    let (ti1, tq1) = if PAIR {
+        (&rest[..m], &rest[m..2 * m])
+    } else {
+        (ti0, tq0)
+    };
+    let add = |cost: u32, word: u32, ti: &[u16], tq: &[u16]| {
+        let word = (word >> (16 - c)) as usize;
+        let i = ti[(word >> 16) & (m - 1)];
+        let q = tq[word & (m - 1)];
+        if PLAIN {
+            cost + u32::from(i) + u32::from(q)
+        } else {
+            cost.saturating_add(pair_delta(i, q))
+        }
+    };
+    let score = |cost: u32, a: u32, b: u32| {
+        let cost = add(cost, a, ti0, tq0);
+        if PAIR {
+            add(cost, b, ti1, tq1)
+        } else {
+            cost
+        }
+    };
+    if FIRST {
+        let fanout = costs.len() / bases.len();
+        for (((children, wa), wb), &base) in costs
+            .chunks_exact_mut(fanout)
+            .zip(wa.chunks_exact(fanout))
+            .zip(wb.chunks_exact(fanout))
+            .zip(bases)
+        {
+            for ((cost, &a), &b) in children.iter_mut().zip(wa).zip(wb) {
+                *cost = score(base, a, b);
+            }
+        }
+    } else {
+        for ((cost, &a), &b) in costs.iter_mut().zip(wa).zip(wb) {
+            *cost = score(*cost, a, b);
+        }
+    }
+}
 
 /// Degenerate observations (NaN / ±∞ metric contributions from broken
 /// CSI or non-finite samples) are treated as uninformative: infinite
@@ -965,7 +1037,16 @@ impl BubbleDecoder {
     /// quantized tables.
     fn decode_quant_prepared(&self, ws: &mut DecodeWorkspace, b: usize) -> DecodeResult {
         if self.params.d.min(self.params.num_spines()) == 1 {
-            return self.decode_quant_d1(ws, b);
+            // With neither a Q_INF sentinel anywhere in the tables nor
+            // enough observations for 15-bit entries to overflow 32
+            // bits, plain adds provably equal the saturating ones — the
+            // kernel drops the pin-and-saturate logic.
+            let plain_adds = !ws.quant.has_inf && ws.quant.rngs.len() < (1 << 16);
+            return if plain_adds {
+                self.decode_quant_d1::<true>(ws, b)
+            } else {
+                self.decode_quant_d1::<false>(ws, b)
+            };
         }
         let (mut sc, quant) = ws.quant_parts();
         let mut src = self.prepared(&quant.tables, quant);
@@ -983,20 +1064,31 @@ impl BubbleDecoder {
     /// `2^k` edges, and each child's prefix once across all of the
     /// step's RNG indices.
     ///
+    /// Every spine, whatever its observation count, runs one loop over
+    /// blocks of whole parents (`BLK`): grow the block's children, fold
+    /// the spine's observations into their costs two per `sweep`, a
+    /// trailing single one last (an empty spine copies the parents'
+    /// costs), and take the block's cost bounds for the radix
+    /// threshold. `PLAIN` picks plain or saturating adds for the whole
+    /// decode (see [`decode_quant_prepared`](Self::decode_quant_prepared)).
+    ///
     /// Bit-identical to the generic quantized beam at `d = 1` — same
     /// saturating adds in the same order, same radix threshold, same
     /// ascending-key tie-break, same arena contents; the
     /// `quant_d1_kernel_matches_generic_quantized_beam` test pins that
-    /// on every branch below.
-    fn decode_quant_d1(&self, ws: &mut DecodeWorkspace, b: usize) -> DecodeResult {
+    /// for every observation count, both add modes and the blocks'
+    /// edges.
+    fn decode_quant_d1<const PLAIN: bool>(
+        &self,
+        ws: &mut DecodeWorkspace,
+        b: usize,
+    ) -> DecodeResult {
         let p = &self.params;
-        let ns = p.num_spines();
         let k = p.k;
         let fanout = 1usize << k;
         let hash = p.hash;
         let m = self.levels().len();
         let c = self.c_bits();
-        let (i_shift, q_shift) = (32 - c, 16 - c);
         let DecodeWorkspace {
             qfr,
             quant,
@@ -1018,220 +1110,58 @@ impl BubbleDecoder {
         qfr.clear();
         qfr.states.push(hash.prefix(p.s0));
         qfr.costs.push(0u32);
+        // A block is `ppb` parents' children; its RNG words live in
+        // `qfr.words` and `qwords2`.
+        let ppb = (BLK >> k).max(1);
+        qfr.words.resize(ppb << k, 0);
+        qwords2.resize(ppb << k, 0);
 
-        // With neither a Q_INF sentinel anywhere in the tables nor
-        // enough observations for 15-bit entries to overflow 32 bits,
-        // plain adds provably equal the saturating ones — the hot loop
-        // drops the pin-and-saturate logic.
-        let plain_adds = !quant.has_inf && quant.rngs.len() < (1 << 16);
-
-        for spine in 0..ns {
-            let f = qfr.states.len();
-            let ef = f << k;
+        for &(lo, hi) in &quant.spans {
+            let (lo, hi) = (lo as usize, hi as usize);
+            let rngs = &quant.rngs[lo..hi];
+            let tables = &quant.tables[lo * 2 * m..hi * 2 * m];
+            let ef = qfr.states.len() << k;
+            qfr.next_states.resize(ef, 0);
+            qfr.next_costs.resize(ef, 0);
 
             // Grow, leaf-major (children of a leaf adjacent, so the
             // selection scan below is sequential and already in
-            // canonical key order): one fused pass absorbs each edge
-            // into the parent prefix and re-prefixes the child. In the
-            // blocked steady-state shape below this runs per block so
-            // the freshly hashed prefixes are still L1-hot when the
-            // observation finishes consume them.
-            qfr.next_states.resize(ef, 0);
-            qfr.next_costs.resize(ef, 0);
-            let blocked = plain_adds
-                && quant.spans[spine].1 as usize - quant.spans[spine].0 as usize == 2
-                && BLK.is_multiple_of(fanout);
-            if !blocked {
-                hash.fanout_prefix_many(&qfr.states, k, &mut qfr.next_states);
-            }
-
-            // Branch metrics: per observation (pairwise), finish the
-            // child prefixes with the RNG index and gather-accumulate.
-            let (lo, hi) = quant.spans[spine];
-            let (lo, hi) = (lo as usize, hi as usize);
-            let n_obs = hi - lo;
-            let bits_mask = m - 1;
-            let table_at =
-                |ei: usize| quant.tables[(lo + ei) * 2 * m..(lo + ei + 1) * 2 * m].split_at(m);
-            // Running cost bounds, tracked by whichever pass writes the
-            // final costs — hands the radix threshold its range for free.
-            let mut cost_lo = u32::MAX;
-            let mut cost_hi = 0u32;
-            let mut have_bounds = false;
-            if plain_adds && n_obs > 0 {
-                // Fused fast path: plain u32 sums are associative here
-                // (no sentinel, no overflow — see `plain_adds`), so the
-                // first observation pair is folded together with the
-                // parent-cost initialisation in a single output pass,
-                // and later observations are consumed two per sweep.
-                let rngs = &quant.rngs[lo..hi];
-                if blocked {
-                    // The common steady-state shape (one observation per
-                    // pass, two passes): run the spine chain, the RNG
-                    // finishes, and the gather block by block, so the
-                    // child prefixes and RNG words stay L1-hot between
-                    // phases (the words never touch the heap at all).
-                    let (ti0, tq0) = table_at(0);
-                    let (ti1, tq1) = table_at(1);
-                    let mut wa_buf = [0u32; BLK];
-                    let mut wb_buf = [0u32; BLK];
-                    let ppb = BLK >> k; // parents per block
-                    for (blk, (costs_blk, pfx_blk)) in qfr
-                        .next_costs
-                        .chunks_mut(BLK)
-                        .zip(qfr.next_states.chunks_mut(BLK))
-                        .enumerate()
-                    {
-                        let n = pfx_blk.len();
-                        let parents = &qfr.states[blk * ppb..][..n >> k];
-                        hash.fanout_prefix_many(parents, k, pfx_blk);
-                        hash.finish2_many(
-                            pfx_blk,
-                            rngs[0],
-                            rngs[1],
-                            &mut wa_buf[..n],
-                            &mut wb_buf[..n],
-                        );
-                        let bases = &qfr.costs[(blk * BLK) >> k..];
-                        for (((costs, words_a), words_b), &base) in costs_blk
-                            .chunks_exact_mut(fanout)
-                            .zip(wa_buf.chunks_exact(fanout))
-                            .zip(wb_buf.chunks_exact(fanout))
-                            .zip(bases)
-                        {
-                            for ((cost, &wa), &wb) in costs.iter_mut().zip(words_a).zip(words_b) {
-                                let c = base
-                                    + u32::from(ti0[(wa >> i_shift) as usize])
-                                    + u32::from(tq0[(wa >> q_shift) as usize & bits_mask])
-                                    + u32::from(ti1[(wb >> i_shift) as usize])
-                                    + u32::from(tq1[(wb >> q_shift) as usize & bits_mask]);
-                                cost_lo = cost_lo.min(c);
-                                cost_hi = cost_hi.max(c);
-                                *cost = c;
-                            }
-                        }
+            // canonical key order), and score block by block, so the
+            // child prefixes, RNG words and costs stay L1-hot from the
+            // fused fan-out hash to the bounds.
+            let (mut cost_lo, mut cost_hi) = (u32::MAX, 0u32);
+            for (((parents, bases), pfx), costs) in qfr
+                .states
+                .chunks(ppb)
+                .zip(qfr.costs.chunks(ppb))
+                .zip(qfr.next_states.chunks_mut(ppb << k))
+                .zip(qfr.next_costs.chunks_mut(ppb << k))
+            {
+                hash.fanout_prefix_many(parents, k, pfx);
+                let (wa, wb) = (&mut qfr.words[..pfx.len()], &mut qwords2[..pfx.len()]);
+                if rngs.is_empty() {
+                    for (chunk, &base) in costs.chunks_exact_mut(fanout).zip(bases) {
+                        chunk.fill(base);
                     }
-                    have_bounds = true;
-                } else if n_obs >= 2 {
-                    qfr.words.resize(ef, 0);
-                    qwords2.resize(ef, 0);
-                    hash.finish2_many(&qfr.next_states, rngs[0], rngs[1], &mut qfr.words, qwords2);
-                    let (ti0, tq0) = table_at(0);
-                    let (ti1, tq1) = table_at(1);
-                    let last = n_obs == 2;
-                    for (((costs, words_a), words_b), &base) in qfr
-                        .next_costs
-                        .chunks_exact_mut(fanout)
-                        .zip(qfr.words.chunks_exact(fanout))
-                        .zip(qwords2.chunks_exact(fanout))
-                        .zip(&qfr.costs)
-                    {
-                        for ((cost, &wa), &wb) in costs.iter_mut().zip(words_a).zip(words_b) {
-                            let c = base
-                                + u32::from(ti0[(wa >> i_shift) as usize])
-                                + u32::from(tq0[(wa >> q_shift) as usize & bits_mask])
-                                + u32::from(ti1[(wb >> i_shift) as usize])
-                                + u32::from(tq1[(wb >> q_shift) as usize & bits_mask]);
-                            if last {
-                                cost_lo = cost_lo.min(c);
-                                cost_hi = cost_hi.max(c);
-                            }
-                            *cost = c;
-                        }
-                    }
-                    have_bounds = last;
-                } else {
-                    qfr.words.resize(ef, 0);
-                    hash.finish_many(&qfr.next_states, rngs[0], &mut qfr.words);
-                    let (ti0, tq0) = table_at(0);
-                    for ((costs, words_a), &base) in qfr
-                        .next_costs
-                        .chunks_exact_mut(fanout)
-                        .zip(qfr.words.chunks_exact(fanout))
-                        .zip(&qfr.costs)
-                    {
-                        for (cost, &wa) in costs.iter_mut().zip(words_a) {
-                            let c = base
-                                + u32::from(ti0[(wa >> i_shift) as usize])
-                                + u32::from(tq0[(wa >> q_shift) as usize & bits_mask]);
-                            cost_lo = cost_lo.min(c);
-                            cost_hi = cost_hi.max(c);
-                            *cost = c;
-                        }
-                    }
-                    have_bounds = true;
                 }
-                let mut ei = 2;
-                if ei < n_obs {
-                    qfr.words.resize(ef, 0);
-                    qwords2.resize(ef, 0);
-                }
-                while ei < n_obs {
-                    if ei + 1 < n_obs {
-                        hash.finish2_many(
-                            &qfr.next_states,
-                            rngs[ei],
-                            rngs[ei + 1],
-                            &mut qfr.words,
-                            qwords2,
-                        );
-                        let (ti0, tq0) = table_at(ei);
-                        let (ti1, tq1) = table_at(ei + 1);
-                        let last = ei + 2 == n_obs;
-                        for ((cost, &wa), &wb) in qfr
-                            .next_costs
-                            .iter_mut()
-                            .zip(&qfr.words)
-                            .zip(qwords2.iter())
-                        {
-                            let c = *cost
-                                + u32::from(ti0[(wa >> i_shift) as usize])
-                                + u32::from(tq0[(wa >> q_shift) as usize & bits_mask])
-                                + u32::from(ti1[(wb >> i_shift) as usize])
-                                + u32::from(tq1[(wb >> q_shift) as usize & bits_mask]);
-                            if last {
-                                cost_lo = cost_lo.min(c);
-                                cost_hi = cost_hi.max(c);
-                            }
-                            *cost = c;
-                        }
-                        have_bounds = last;
-                        ei += 2;
+                for (s, (obs, t)) in rngs.chunks(2).zip(tables.chunks(4 * m)).enumerate() {
+                    let pair = obs.len() == 2;
+                    if pair {
+                        hash.finish2_many(pfx, obs[0], obs[1], wa, wb);
                     } else {
-                        hash.finish_many(&qfr.next_states, rngs[ei], &mut qfr.words);
-                        let (ti0, tq0) = table_at(ei);
-                        for (cost, &wa) in qfr.next_costs.iter_mut().zip(&qfr.words) {
-                            let c = *cost
-                                + u32::from(ti0[(wa >> i_shift) as usize])
-                                + u32::from(tq0[(wa >> q_shift) as usize & bits_mask]);
-                            cost_lo = cost_lo.min(c);
-                            cost_hi = cost_hi.max(c);
-                            *cost = c;
-                        }
-                        have_bounds = true;
-                        ei += 1;
+                        hash.finish_many(pfx, obs[0], wa);
                     }
+                    let run = match (s == 0, pair) {
+                        (true, true) => sweep::<true, true, PLAIN>,
+                        (true, false) => sweep::<true, false, PLAIN>,
+                        (false, true) => sweep::<false, true, PLAIN>,
+                        (false, false) => sweep::<false, false, PLAIN>,
+                    };
+                    run(costs, bases, (wa, if pair { wb } else { wa }), t, c);
                 }
-            } else {
-                // Saturating path (sentinel present, huge receive
-                // buffers, or a punctured spine with no observations
-                // yet): keep the generic per-observation order so
-                // saturation points match the generic beam exactly.
-                for (chunk, &cost) in qfr.next_costs.chunks_exact_mut(fanout).zip(&qfr.costs) {
-                    chunk.fill(cost);
-                }
-                if n_obs > 0 {
-                    qfr.words.resize(ef, 0);
-                }
-                for (ei, &rng) in quant.rngs[lo..hi].iter().enumerate() {
-                    hash.finish_many(&qfr.next_states, rng, &mut qfr.words);
-                    let (ti, tq) = table_at(ei);
-                    for (cost, &word) in qfr.next_costs.iter_mut().zip(&qfr.words) {
-                        *cost = cost.saturating_add(pair_delta(
-                            ti[(word >> i_shift) as usize],
-                            tq[(word >> q_shift) as usize & bits_mask],
-                        ));
-                    }
+                for &cost in costs.iter() {
+                    cost_lo = cost_lo.min(cost);
+                    cost_hi = cost_hi.max(cost);
                 }
             }
 
@@ -1252,7 +1182,7 @@ impl BubbleDecoder {
                     new_roots.push((arena.len() - 1) as u32);
                 }
             } else {
-                let bounds = have_bounds.then_some((cost_lo, cost_hi));
+                let bounds = Some((cost_lo, cost_hi));
                 let (t, mut ties) = radix_threshold(&qfr.next_costs, keep, sel_scratch, bounds);
                 // Pre-size the outputs (the kept count is known) so the
                 // scan writes through plain counters, no push checks.
@@ -1737,10 +1667,11 @@ mod tests {
 
     #[test]
     fn quant_d1_kernel_matches_generic_quantized_beam() {
-        // Every branch of `decode_quant_d1` against the generic beam at
-        // d = 1: message and cost bits must agree, including the
-        // all-tie degenerate inputs where only the canonical winner
-        // order decides.
+        // `decode_quant_d1` against the generic beam at d = 1, over
+        // every observation count per spine, both add modes and the
+        // edges of its blocks: message and cost bits must agree,
+        // including the all-tie degenerate inputs where only the
+        // canonical winner order decides.
         let awgn = |p: &CodeParams, symbols: usize, snr: f64, seed: u64| {
             let mut enc = Encoder::new(p, &rand_msg(p.n, seed));
             let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
@@ -1752,7 +1683,7 @@ mod tests {
         let mut cases: Vec<(String, CodeParams, RxSymbols)> = Vec::new();
 
         // ∞-CSI (B = 8): one broken observation pins every path at the
-        // Q_INF sentinel, so the whole decode takes the saturating path.
+        // Q_INF sentinel, so the whole decode adds with saturation.
         let p = CodeParams::default().with_n(64).with_b(8);
         let mut enc = Encoder::new(&p, &rand_msg(64, 0x1234));
         let tx = enc.next_symbols(2 * p.symbols_per_pass());
@@ -1778,16 +1709,27 @@ mod tests {
         ]);
         cases.push(("all-NaN".into(), p, rx));
 
-        for (k, b) in [(4usize, 16usize), (3, 64), (4, 256), (2, 8)] {
+        // Block edges: k = 10 is a fanout of 1,024 > BLK, so every
+        // block holds one parent's children; with k = 4 and B = 48 the
+        // 48 parents make a full block of 32 and then a partial one of
+        // 16.
+        for (k, b) in [
+            (4usize, 16usize),
+            (3, 64),
+            (4, 256),
+            (2, 8),
+            (10, 4),
+            (4, 48),
+        ] {
             let p = CodeParams::default().with_n(24 * k).with_k(k).with_b(b);
             let pass = p.symbols_per_pass();
-            // Two observations per spine: the blocked fused kernel.
+            // Two observations per spine: one pair sweep.
             cases.push((
-                format!("k{k} B{b} blocked"),
+                format!("k{k} B{b} 2 passes"),
                 p.clone(),
                 awgn(&p, 2 * pass, 8.0, 1),
             ));
-            // Three and five per spine: the unblocked pairwise path,
+            // Three to five per spine: a second sweep after the first,
             // with and without a trailing single observation.
             for passes in [3, 4, 5] {
                 cases.push((
@@ -1796,14 +1738,14 @@ mod tests {
                     awgn(&p, passes * pass, 2.0, 2),
                 ));
             }
-            // One observation per spine.
+            // One observation per spine: one single sweep.
             cases.push((
                 format!("k{k} B{b} one pass"),
                 p.clone(),
                 awgn(&p, pass, 14.0, 3),
             ));
             // A partial pass: punctured spines with no observation yet
-            // take the saturating path next to plain-add spines.
+            // copy their parents' costs, next to spines with one.
             let schedule = Schedule::new(p.num_spines(), p.tail, p.puncturing);
             let partial = schedule.subpass_boundaries(pass)[2];
             cases.push((

@@ -8,8 +8,10 @@
 //! (payload corruption), and syscalls failing transiently. [`ChaosLink`]
 //! wraps any link endpoint and injects all of these from one seeded
 //! [`FaultPlan`], so an entire fault schedule replays byte-identically
-//! from a single integer; [`FaultTrace`] records what was done to every
-//! datagram and fingerprints it for determinism assertions.
+//! from a single integer. [`FaultTrace`] is the one record of what the
+//! link did: one event per datagram sent (its fate, and how many copies
+//! reached the inner link) and one per injected recv error, which
+//! determinism assertions compare with `==`.
 //!
 //! Faults are asymmetric by construction: each endpoint wraps its own
 //! link with its own plan and seed, so the data path can burn while the
@@ -130,7 +132,8 @@ pub enum FaultEvent {
         /// Send index of the datagram.
         index: u64,
     },
-    /// Delivered with one bit flipped.
+    /// Delivered with one bit flipped, once or duplicated into a storm
+    /// of corrupted copies.
     Corrupted {
         /// Send index of the datagram.
         index: u64,
@@ -138,6 +141,8 @@ pub enum FaultEvent {
         byte: u32,
         /// XOR mask applied to that byte (exactly one bit set).
         mask: u8,
+        /// Total copies put on the inner link.
+        copies: u32,
     },
     /// `send` returned a transient `io::Error` instead of transmitting.
     SendError {
@@ -151,30 +156,8 @@ pub enum FaultEvent {
     },
 }
 
-/// Aggregate fault counts, cheap to assert on in soaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultCounters {
-    /// Datagrams offered to `send`.
-    pub sends: u64,
-    /// Datagrams that reached the inner link at least once.
-    pub delivered: u64,
-    /// Datagrams swallowed by burst loss.
-    pub burst_lost: u64,
-    /// Datagrams swallowed by blackout windows.
-    pub blacked_out: u64,
-    /// Extra copies emitted by duplication storms.
-    pub duplicates: u64,
-    /// Datagrams delivered with a flipped bit.
-    pub corrupted: u64,
-    /// Transient errors injected on `send`.
-    pub send_errors: u64,
-    /// Transient errors injected on `recv`.
-    pub recv_errors: u64,
-}
-
-/// The ordered record of everything a [`ChaosLink`] did, with a
-/// deterministic fingerprint: same seed + same plan + same traffic ⇒
-/// identical trace ⇒ identical fingerprint.
+/// The ordered record of everything a [`ChaosLink`] did: same seed +
+/// same plan + same traffic ⇒ an equal trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultTrace {
     events: Vec<FaultEvent>,
@@ -196,53 +179,6 @@ impl FaultTrace {
         self.events.is_empty()
     }
 
-    /// FNV-1a over the event stream: a compact determinism witness
-    /// (byte-identical traces ⇔ equal fingerprints, collisions aside).
-    pub fn fingerprint(&self) -> u64 {
-        fn eat(h: &mut u64, byte: u8) {
-            *h ^= u64::from(byte);
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        fn eat_u64(h: &mut u64, v: u64) {
-            for b in v.to_le_bytes() {
-                eat(h, b);
-            }
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for ev in &self.events {
-            match *ev {
-                FaultEvent::Delivered { index, copies } => {
-                    eat(&mut h, 1);
-                    eat_u64(&mut h, index);
-                    eat_u64(&mut h, u64::from(copies));
-                }
-                FaultEvent::BurstLost { index } => {
-                    eat(&mut h, 2);
-                    eat_u64(&mut h, index);
-                }
-                FaultEvent::Blackout { index } => {
-                    eat(&mut h, 3);
-                    eat_u64(&mut h, index);
-                }
-                FaultEvent::Corrupted { index, byte, mask } => {
-                    eat(&mut h, 4);
-                    eat_u64(&mut h, index);
-                    eat_u64(&mut h, u64::from(byte));
-                    eat_u64(&mut h, u64::from(mask));
-                }
-                FaultEvent::SendError { index } => {
-                    eat(&mut h, 5);
-                    eat_u64(&mut h, index);
-                }
-                FaultEvent::RecvError { call } => {
-                    eat(&mut h, 6);
-                    eat_u64(&mut h, call);
-                }
-            }
-        }
-        h
-    }
-
     fn record(&mut self, ev: FaultEvent) {
         self.events.push(ev);
     }
@@ -262,7 +198,6 @@ pub struct ChaosLink<L> {
     sends: u64,
     recv_calls: u64,
     trace: FaultTrace,
-    counters: FaultCounters,
 }
 
 impl<L> ChaosLink<L> {
@@ -281,7 +216,6 @@ impl<L> ChaosLink<L> {
             sends: 0,
             recv_calls: 0,
             trace: FaultTrace::default(),
-            counters: FaultCounters::default(),
         }
     }
 
@@ -293,16 +227,6 @@ impl<L> ChaosLink<L> {
     /// The fault record so far.
     pub fn trace(&self) -> &FaultTrace {
         &self.trace
-    }
-
-    /// Aggregate fault counts so far.
-    pub fn counters(&self) -> FaultCounters {
-        self.counters
-    }
-
-    /// Shorthand for `trace().fingerprint()`.
-    pub fn fingerprint(&self) -> u64 {
-        self.trace.fingerprint()
     }
 
     /// Unwrap, discarding the chaos state.
@@ -325,11 +249,9 @@ impl<L: Datagram> Datagram for ChaosLink<L> {
     fn send(&mut self, buf: &[u8]) -> io::Result<()> {
         let index = self.sends;
         self.sends += 1;
-        self.counters.sends += 1;
         // Transient syscall failure: the datagram never reaches the
         // wire, and the caller is expected to classify-and-continue.
         if self.plan.send_err_prob > 0.0 && self.send_rng.gen::<f64>() < self.plan.send_err_prob {
-            self.counters.send_errors += 1;
             self.trace.record(FaultEvent::SendError { index });
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
@@ -341,18 +263,16 @@ impl<L: Datagram> Datagram for ChaosLink<L> {
         // down.
         let burst_lost = self.ge.as_mut().is_some_and(|ge| ge.step());
         if self.plan.in_blackout(index) {
-            self.counters.blacked_out += 1;
             self.trace.record(FaultEvent::Blackout { index });
             return Ok(());
         }
         if burst_lost {
-            self.counters.burst_lost += 1;
             self.trace.record(FaultEvent::BurstLost { index });
             return Ok(());
         }
         // Corruption: flip exactly one bit, position drawn uniformly
         // from the eligible (post-header-guard) region.
-        let mut corrupted: Option<Vec<u8>> = None;
+        let mut corrupted: Option<(u32, u8, Vec<u8>)> = None;
         let eligible = buf.len().saturating_sub(self.plan.corrupt_skip);
         if self.plan.corrupt_prob > 0.0
             && eligible > 0
@@ -363,13 +283,7 @@ impl<L: Datagram> Datagram for ChaosLink<L> {
             let mut copy = buf.to_vec();
             if let Some(byte) = copy.get_mut(pos) {
                 *byte ^= mask;
-                self.counters.corrupted += 1;
-                self.trace.record(FaultEvent::Corrupted {
-                    index,
-                    byte: pos as u32,
-                    mask,
-                });
-                corrupted = Some(copy);
+                corrupted = Some((pos as u32, mask, copy));
             }
         }
         // Duplication storm: 1 original + up to dup_max extra copies.
@@ -380,13 +294,20 @@ impl<L: Datagram> Datagram for ChaosLink<L> {
         {
             let extra = 1 + (self.send_rng.gen::<u64>() as usize) % self.plan.dup_max;
             copies += extra as u32;
-            self.counters.duplicates += extra as u64;
         }
-        if corrupted.is_none() {
-            self.trace.record(FaultEvent::Delivered { index, copies });
-        }
-        self.counters.delivered += 1;
-        let wire: &[u8] = corrupted.as_deref().unwrap_or(buf);
+        let (event, wire) = match &corrupted {
+            Some((byte, mask, copy)) => (
+                FaultEvent::Corrupted {
+                    index,
+                    byte: *byte,
+                    mask: *mask,
+                    copies,
+                },
+                copy.as_slice(),
+            ),
+            None => (FaultEvent::Delivered { index, copies }, buf),
+        };
+        self.trace.record(event);
         for _ in 0..copies {
             self.inner.send(wire)?;
         }
@@ -397,7 +318,6 @@ impl<L: Datagram> Datagram for ChaosLink<L> {
         let call = self.recv_calls;
         self.recv_calls += 1;
         if self.plan.recv_err_prob > 0.0 && self.recv_rng.gen::<f64>() < self.plan.recv_err_prob {
-            self.counters.recv_errors += 1;
             self.trace.record(FaultEvent::RecvError { call });
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
@@ -468,10 +388,9 @@ mod tests {
         let (t1, got1) = drive(stormy_plan(), 42, 400);
         let (t2, got2) = drive(stormy_plan(), 42, 400);
         assert_eq!(t1, t2, "same seed must replay the identical schedule");
-        assert_eq!(t1.fingerprint(), t2.fingerprint());
         assert_eq!(got1, got2);
         let (t3, _) = drive(stormy_plan(), 43, 400);
-        assert_ne!(t1.fingerprint(), t3.fingerprint());
+        assert_ne!(t1, t3);
     }
 
     #[test]
@@ -503,7 +422,9 @@ mod tests {
         assert_eq!(got.len(), 20);
         for (ev, buf) in trace.events().iter().zip(&got) {
             match *ev {
-                FaultEvent::Corrupted { index, byte, mask } => {
+                FaultEvent::Corrupted {
+                    index, byte, mask, ..
+                } => {
                     let mut expect = index.to_le_bytes().to_vec();
                     if let Some(b) = expect.get_mut(byte as usize) {
                         *b ^= mask;
@@ -552,22 +473,33 @@ mod tests {
 
     #[test]
     fn duplication_storm_emits_recorded_copy_count() {
-        let plan = FaultPlan {
-            dup_prob: 1.0,
-            dup_max: 2,
-            ..FaultPlan::clean()
-        };
-        let (trace, got) = drive(plan, 5, 10);
-        let copies_total: u32 = trace
-            .events()
-            .iter()
-            .map(|ev| match ev {
-                FaultEvent::Delivered { copies, .. } => *copies,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(got.len(), copies_total as usize);
-        assert!(copies_total > 10, "storms must add copies");
+        // Clean storms, then storms of corrupted copies: either way the
+        // trace alone accounts for every datagram the far end gets.
+        for corrupt_prob in [0.0, 1.0] {
+            let plan = FaultPlan {
+                dup_prob: 1.0,
+                dup_max: 2,
+                corrupt_prob,
+                ..FaultPlan::clean()
+            };
+            let (trace, got) = drive(plan, 5, 10);
+            let copies_total: u32 = trace
+                .events()
+                .iter()
+                .map(|ev| match ev {
+                    FaultEvent::Delivered { copies, .. } | FaultEvent::Corrupted { copies, .. } => {
+                        *copies
+                    }
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(
+                got.len(),
+                copies_total as usize,
+                "corrupt_prob {corrupt_prob}"
+            );
+            assert!(copies_total > 10, "storms must add copies");
+        }
     }
 
     #[test]
@@ -583,8 +515,13 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         let err = chaos.recv().expect_err("always fails");
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        assert_eq!(chaos.counters().send_errors, 1);
-        assert_eq!(chaos.counters().recv_errors, 1);
+        assert_eq!(
+            chaos.trace().events(),
+            [
+                FaultEvent::SendError { index: 0 },
+                FaultEvent::RecvError { call: 0 }
+            ]
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod sender;
 pub mod transfer;
 pub mod wire;
 
-pub use chaos::{BlackoutWindow, ChaosLink, FaultCounters, FaultEvent, FaultPlan, FaultTrace};
+pub use chaos::{BlackoutWindow, ChaosLink, FaultEvent, FaultPlan, FaultTrace};
 pub use link::{Datagram, LoopbackLink, NoiseModel, UdpLink};
 pub use receiver::{ReceiverConfig, SpinalReceiver};
 pub use sender::{Modulation, SenderConfig, SpinalSender};

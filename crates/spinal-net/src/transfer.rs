@@ -212,75 +212,6 @@ impl TransferReport {
             _ => None,
         }
     }
-
-    /// FNV-1a digest of the whole report (outcome bytes included): two
-    /// reports are byte-identical iff their fingerprints match
-    /// (collisions aside) — the chaos soak's determinism witness.
-    pub fn fingerprint(&self) -> u64 {
-        fn eat(h: &mut u64, byte: u8) {
-            *h ^= u64::from(byte);
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        fn eat_u64(h: &mut u64, v: u64) {
-            for b in v.to_le_bytes() {
-                eat(h, b);
-            }
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in [
-            self.symbols_sent as u64,
-            self.datagrams_sent as u64,
-            self.passes_sent as u64,
-            self.rounds as u64,
-            self.decode_attempts as u64,
-            self.escalations as u64,
-            self.transient_io_errors as u64,
-            self.reorder_evictions,
-            self.backoff_skips as u64,
-            self.blocks_decoded as u64,
-            self.n_blocks as u64,
-            self.blocks_resumed as u64,
-        ] {
-            eat_u64(&mut h, v);
-        }
-        match &self.outcome {
-            TransferOutcome::Delivered(p) => {
-                eat(&mut h, 1);
-                for &b in p {
-                    eat(&mut h, b);
-                }
-            }
-            TransferOutcome::PartialDelivery {
-                blocks,
-                bytes_recovered,
-                blocks_decoded,
-                n_blocks,
-                stop,
-            } => {
-                eat(&mut h, 2);
-                eat_u64(&mut h, *bytes_recovered as u64);
-                eat_u64(&mut h, *blocks_decoded as u64);
-                eat_u64(&mut h, *n_blocks as u64);
-                eat(&mut h, *stop as u8);
-                for blk in blocks {
-                    match blk {
-                        Some(bytes) => {
-                            eat(&mut h, 1);
-                            for &b in bytes {
-                                eat(&mut h, b);
-                            }
-                        }
-                        None => eat(&mut h, 0),
-                    }
-                }
-            }
-            TransferOutcome::PassBudgetExhausted => eat(&mut h, 3),
-            TransferOutcome::RoundBudgetExhausted => eat(&mut h, 4),
-            TransferOutcome::DeadlineExceeded => eat(&mut h, 5),
-            TransferOutcome::Aborted => eat(&mut h, 6),
-        }
-        h
-    }
 }
 
 /// Why [`run_transfer`] failed. Unlike a bare [`io::Error`], the
@@ -1368,14 +1299,13 @@ mod tests {
             let mut tx = ChaosLink::new(tx, plan, seed);
             let report = run_transfer(&mut tx, &mut rx, &p, &payload, 1, TransferConfig::default())
                 .expect("within budget");
-            (report.clone(), report.fingerprint(), tx.fingerprint())
+            (report, tx.trace().clone())
         };
-        let (r1, f1, t1) = run(33);
-        let (r2, f2, t2) = run(33);
+        let (r1, t1) = run(33);
+        let (r2, t2) = run(33);
         assert_eq!(r1, r2, "same seed ⇒ identical report");
-        assert_eq!(f1, f2);
         assert_eq!(t1, t2, "same seed ⇒ identical fault trace");
-        let (_, f3, t3) = run(34);
-        assert!(f1 != f3 || t1 != t3, "different seed must differ somewhere");
+        let (r3, t3) = run(34);
+        assert!(r1 != r3 || t1 != t3, "different seed must differ somewhere");
     }
 }

@@ -9,8 +9,8 @@
 //! a longer soak just sets the variable higher).
 
 use spinal_codes::net::{
-    run_transfer, ChaosLink, FaultPlan, Impairments, LoopbackLink, NoiseModel, TransferConfig,
-    TransferErrorKind, TransferOutcome, TransferReport, DATA_PAYLOAD_OFFSET,
+    run_transfer, ChaosLink, FaultPlan, FaultTrace, Impairments, LoopbackLink, NoiseModel,
+    TransferConfig, TransferErrorKind, TransferOutcome, TransferReport, DATA_PAYLOAD_OFFSET,
 };
 use spinal_codes::{CodeParams, GeParams};
 
@@ -65,8 +65,8 @@ struct RunResult {
     report: TransferReport,
     /// `Some(budget)` when the run failed with RetryBudgetExhausted.
     failed: bool,
-    data_trace: u64,
-    feedback_trace: u64,
+    data_trace: FaultTrace,
+    feedback_trace: FaultTrace,
 }
 
 fn run_one(seed: u64) -> RunResult {
@@ -166,8 +166,8 @@ fn run_one(seed: u64) -> RunResult {
     RunResult {
         report,
         failed,
-        data_trace: tx.fingerprint(),
-        feedback_trace: rx.fingerprint(),
+        data_trace: tx.trace().clone(),
+        feedback_trace: rx.trace().clone(),
     }
 }
 
@@ -195,15 +195,10 @@ fn soak_seeded_schedules_end_structurally_and_deterministically() {
         }
         evictions += one.report.reorder_evictions;
         // Determinism witness on every tenth schedule: identical seed
-        // ⇒ byte-identical fault traces and transfer report.
+        // ⇒ equal fault traces and transfer report.
         if seed % 10 == 0 {
             let again = run_one(seed);
             assert_eq!(one.report, again.report, "seed {seed}: report must replay");
-            assert_eq!(
-                one.report.fingerprint(),
-                again.report.fingerprint(),
-                "seed {seed}"
-            );
             assert_eq!(one.data_trace, again.data_trace, "seed {seed}: data trace");
             assert_eq!(
                 one.feedback_trace, again.feedback_trace,
